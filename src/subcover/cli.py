@@ -120,11 +120,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     f = _field_from_args(args)
-    print(
-        oracle.min_cover_size(
-            f, args.n, args.k, upper_hint=args.upper_hint, threads=args.threads
-        )
-    )
+    print(oracle.min_cover_size(f, args.n, args.k, upper_hint=args.upper_hint))
     return 0
 
 
@@ -221,9 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--k", type=int, required=True)
     po.add_argument("--upper-hint", type=int, default=None)
-    po.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface stability; the result "
-                         "is independent of it")
     po.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("assign",

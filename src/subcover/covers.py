@@ -19,6 +19,7 @@ from .gf import FieldDescriptor, field_from_json, field_to_json
 from .linalg import (
     LinearQuotient,
     Subspace,
+    json_int,
     linear_combination,
     lift,
     quotient,
@@ -528,6 +529,8 @@ def cover_from_json(doc: dict) -> Cover:
         count = doc["count"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed cover document: {doc!r}") from exc
+    n = json_int(n, "ambient n", 1)
+    codim = json_int(codim, "codim")
     if count != len(subspaces):
         raise ValueError("count does not match the subspace list")
     return Cover(f, n, codim, subspaces, prov)

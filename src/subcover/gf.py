@@ -271,11 +271,11 @@ class FieldElem:
         return f"{self.field!r}:{self.enc}"
 
 
-@lru_cache(maxsize=None)
 def field_new(p: int, m: int) -> FieldDescriptor:
     """Construct GF(p^m) with the deterministic smallest irreducible modulus.
 
     Raises ValueError for non-prime p, m < 1, or p**m over the desk bound.
+    The bound is read on every call; only the construction is cached.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -285,6 +285,11 @@ def field_new(p: int, m: int) -> FieldDescriptor:
     bound = max_q_pow()
     if q > bound:
         raise ValueError(f"field order {q} over the configured bound {bound}")
+    return _build_field(p, m)
+
+
+@lru_cache(maxsize=None)
+def _build_field(p: int, m: int) -> FieldDescriptor:
     if m == 1:
         return FieldDescriptor(p, 1, (0, 1))
     for tail in itertools.product(range(p), repeat=m):

@@ -196,11 +196,6 @@ def full_subspace(f: FieldDescriptor, n: int) -> Subspace:
     return Subspace(f, n, rows, tuple(range(n)))
 
 
-def _check_ambient(s: Subspace, field: FieldDescriptor, n: int) -> None:
-    if s.field != field or s.n != n:
-        raise ValueError("ambient space mismatch")
-
-
 def _residual(s: Subspace, entries: Row) -> Row:
     """Reduce a vector against the RREF basis; zero iff the vector is in s."""
     f = s.field
@@ -377,6 +372,16 @@ def subspace_to_json(s: Subspace) -> dict:
         "n": s.n,
         "basis": [list(r) for r in s.basis],
     }
+
+
+def json_int(value, what: str, minimum: int | None = None) -> int:
+    """An integer read from a JSON document; a bool, any other type, or a
+    value below ``minimum`` raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
 def subspace_from_json(doc: dict) -> Subspace:

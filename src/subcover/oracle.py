@@ -1,11 +1,13 @@
-"""Independent brute-force verification and minimality search.
+"""Brute-force verification and minimality search.
 
-Nothing here reuses the construction paths: covers and partitions are
-checked by enumerating every vector of every claimed subspace from its
-basis, and minimal cover sizes are recomputed from scratch by an exact
-branch-and-bound set-cover search over projective points.  The pruning
-bound is the plain counting argument ceil(remaining points / points per
-subspace).
+Covers and partitions are checked by enumerating every vector of every
+claimed subspace from its basis; minimal cover sizes are recomputed by an
+exact branch-and-bound set-cover search over projective points, pruned by
+the counting bound ceil(remaining points / points per subspace).
+
+Shared with the construction code: the ``Subspace`` type and the span
+enumerator ``linalg.span_tuples`` (with ``linalg.vec_add``), which
+``partitions.spread_partition`` also uses to list its intermediate field.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations, product
 from .bounds import DEFAULT_MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, minimal_cover_count
 from .gf import FieldDescriptor
-from .linalg import Row, Subspace, span_tuples
+from .linalg import Row, Subspace, span_tuples, vec_add
 from .partitions import Partition
 
 
@@ -30,17 +32,9 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class ProjectivePointSet:
+def projective_points(f: FieldDescriptor, n: int) -> tuple[Row, ...]:
     """Canonical representatives of the lines of F^n: first nonzero
     coordinate scaled to 1, ordered by leading index then suffix."""
-
-    field: FieldDescriptor
-    n: int
-    points: tuple[Row, ...]
-
-
-def projective_points(f: FieldDescriptor, n: int) -> ProjectivePointSet:
     q = f.q
     expected = (q**n - 1) // (q - 1)
     check_enumeration_size(expected, f"projective points of GF({q})^{n}")
@@ -50,7 +44,7 @@ def projective_points(f: FieldDescriptor, n: int) -> ProjectivePointSet:
             pts.append((0,) * lead + (1,) + suffix)
     if len(pts) != expected:
         raise AssertionError("projective point count mismatch")
-    return ProjectivePointSet(f, n, tuple(pts))
+    return tuple(pts)
 
 
 def enumerate_subspaces(f: FieldDescriptor, n: int, d: int,
@@ -123,19 +117,30 @@ def _index_vector(idx: int, q: int, n: int) -> Row:
     return tuple(out)
 
 
+def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
+                member: str) -> bytearray:
+    """Hits per vector index over every vector of every member subspace,
+    saturating at 2."""
+    q = f.q
+    check_enumeration_size(q**n, f"verifying a {what} of GF({q})^{n}")
+    hits = bytearray(q**n)
+    for s in members:
+        if s.field != f or s.n != n:
+            raise ValueError(f"{what} {member} in wrong ambient space")
+        for v in span_tuples(f, s.basis, n):
+            i = _vector_index(v, q)
+            if hits[i] < 2:
+                hits[i] += 1
+    return hits
+
+
 def verify_cover(c: Cover) -> VerificationReport:
     """Check that every nonzero vector of F^n lies in at least one cover
     subspace, by enumerating each subspace from its basis."""
-    f, n, q = c.field, c.n, c.field.q
-    check_enumeration_size(q**n, f"verifying a cover of GF({q})^{n}")
-    covered = bytearray(q**n)
-    for s in c.subspaces:
-        if s.field != f or s.n != n:
-            raise ValueError("cover subspace in wrong ambient space")
-        for v in span_tuples(f, s.basis, n):
-            covered[_vector_index(v, q)] = 1
+    n, q = c.n, c.field.q
+    hits = _hit_counts(c.field, n, c.subspaces, "cover", "subspace")
     uncovered = tuple(
-        _index_vector(i, q, n) for i in range(1, q**n) if not covered[i]
+        _index_vector(i, q, n) for i in range(1, q**n) if not hits[i]
     )
     return VerificationReport(not uncovered, uncovered, (), q**n - 1)
 
@@ -143,14 +148,8 @@ def verify_cover(c: Cover) -> VerificationReport:
 def verify_partition(p: Partition) -> VerificationReport:
     """Check that every nonzero vector lies in exactly one part (which also
     certifies that all pairwise intersections are trivial)."""
-    f, n, q = p.field, p.n, p.field.q
-    check_enumeration_size(q**n, f"verifying a partition of GF({q})^{n}")
-    hits = [0] * (q**n)
-    for s in p.parts:
-        if s.field != f or s.n != n:
-            raise ValueError("partition part in wrong ambient space")
-        for v in span_tuples(f, s.basis, n):
-            hits[_vector_index(v, q)] += 1
+    n, q = p.n, p.field.q
+    hits = _hit_counts(p.field, n, p.parts, "partition", "part")
     uncovered = []
     doubled = []
     for i in range(1, q**n):
@@ -162,22 +161,18 @@ def verify_partition(p: Partition) -> VerificationReport:
     return VerificationReport(ok, tuple(uncovered), tuple(doubled), q**n - 1)
 
 
-def _subspace_point_mask(s: Subspace, point_index: dict[Row, int],
-                         q: int) -> int:
-    """Bitmask of the projective points lying in the subspace."""
-    f = s.field
+def _subspace_point_mask(s: Subspace, point_index: dict[Row, int]) -> int:
+    """Bitmask of the projective points lying in the subspace.
+
+    With the basis in RREF, the first nonzero entry of sum(c_j * row_j) is
+    the first nonzero c_j, so each point is listed once, already scaled, as
+    row_i + span(rows after i).
+    """
+    f, rows = s.field, s.basis
     mask = 0
-    seen = set()
-    inv = f.inv
-    mul = f.mul
-    for v in span_tuples(f, s.basis, s.n):
-        lead = next((x for x in v if x), None)
-        if lead is None:
-            continue
-        rep = v if lead == 1 else tuple(mul(inv(lead), x) for x in v)
-        if rep not in seen:
-            seen.add(rep)
-            mask |= 1 << point_index[rep]
+    for i, row in enumerate(rows):
+        for v in span_tuples(f, rows[i + 1:], s.n):
+            mask |= 1 << point_index[vec_add(f, row, v)]
     return mask
 
 
@@ -202,7 +197,6 @@ def min_cover_size(
     n: int,
     k: int,
     upper_hint: int | None = None,
-    threads: int = 1,
     max_subspaces: int = DEFAULT_MAX_SUBSPACES,
 ) -> int:
     """Exact minimum number of codimension-k subspaces covering F^n.
@@ -212,35 +206,28 @@ def min_cover_size(
     the counting bound ceil(remaining / points_per_subspace).  The search
     admits solutions up to ``upper_hint`` (default: the closed-form count);
     if no cover that small exists it reruns against a greedy upper bound,
-    so the result never presupposes the hint is attainable.  ``threads`` is
-    accepted for interface stability; the search runs sequentially and its
-    result does not depend on it.
+    so the result never presupposes the hint is attainable.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     q = f.q
     check_enumeration_size(q**n, f"minimality search over GF({q})^{n}")
     pts = projective_points(f, n)
-    point_index = {pt: i for i, pt in enumerate(pts.points)}
-    npoints = len(pts.points)
+    point_index = {pt: i for i, pt in enumerate(pts)}
+    npoints = len(pts)
     full = (1 << npoints) - 1
     cands = enumerate_subspaces(f, n, n - k, max_count=max_subspaces)
-    masks = [_subspace_point_mask(s, point_index, q) for s in cands]
+    masks = [_subspace_point_mask(s, point_index) for s in cands]
     pts_per = (q ** (n - k) - 1) // (q - 1)
 
-    # how many candidates cover each point, for the branching choice
-    frequency = [0] * npoints
-    for m in masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            frequency[low.bit_length() - 1] += 1
-            mm ^= low
-    covering = [
-        [i for i, m in enumerate(masks) if (m >> j) & 1] for j in range(npoints)
-    ]
+    # the candidates through each point, and how many, for the branching
+    covering: list[list[int]] = [[] for _ in range(npoints)]
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            covering[low.bit_length() - 1].append(i)
+            m ^= low
+    frequency = [len(c) for c in covering]
 
     def search(limit: int) -> int | None:
         best: int | None = None

@@ -25,6 +25,7 @@ from .gf import FieldDescriptor, field_from_json, field_new, field_to_json
 from .linalg import (
     Subspace,
     invert_matrix,
+    json_int,
     kernel,
     span_tuples,
     subspace_from_generators,
@@ -275,6 +276,8 @@ def partition_from_json(doc: dict) -> Partition:
         parts = tuple(subspace_from_json(s) for s in doc["parts"])
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed partition document: {doc!r}") from exc
+    n = json_int(n, "ambient n", 1)
+    d = json_int(d, "d")
     if kind not in ("spread", "mixed"):
         raise ValueError(f"unknown partition kind {kind!r}")
     for s in parts:

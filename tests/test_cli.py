@@ -1,11 +1,16 @@
 """CLI surface: outputs, JSON round trips, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from subcover import cli
 from subcover.covers import cover_from_json
+from subcover.linalg import enumerate_vectors
 from subcover.partitions import partition_from_json
 
 
@@ -131,6 +136,57 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--cover", str(path))
         assert code == 1 and "error" in err
 
+    def test_part_repeated_300_times(self, capsys, tmp_path):
+        # hit counts saturate in a byte: 301 hits must still read as doubled
+        _, out, _ = run(capsys, "partition", "--p", "2", "--n", "4",
+                        "--d", "2", "--kind", "spread")
+        doc = json.loads(out)
+        first = doc["parts"][0]
+        doc["parts"] += [first] * 300
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        code, out2, _ = run(capsys, "verify", "--partition", str(path))
+        assert code == 2
+        report = json.loads(out2)
+        assert report["uncovered"] == []
+        part = partition_from_json(doc).parts[0]
+        nonzero = sorted(list(v.entries) for v in enumerate_vectors(part)
+                         if not v.is_zero())
+        assert len(nonzero) == 3
+        assert sorted(report["double_covered"]) == nonzero
+
+    # with no members, only the shape checks stand between these documents
+    # and a TypeError (or an empty, failing report)
+    @pytest.mark.parametrize("key,value", [
+        ("n", "3"), ("n", -1), ("n", 0), ("n", True), ("n", 2.0),
+        ("codim", "1"), ("codim", False), ("codim", None),
+    ])
+    def test_bad_cover_shape_rejected(self, capsys, tmp_path, key, value):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")
+        doc = json.loads(out)
+        doc["subspaces"], doc["count"] = [], 0
+        (doc["ambient"] if key == "n" else doc)[key] = value
+        path = tmp_path / "bad_shape.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--cover", str(path))
+        assert code == 1 and out2 == ""
+        assert err.startswith("error: ") and f"{key} must be" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", "4"), ("n", 0), ("d", 2.5), ("d", True),
+    ])
+    def test_bad_partition_shape_rejected(self, capsys, tmp_path, key, value):
+        _, out, _ = run(capsys, "partition", "--p", "2", "--n", "4",
+                        "--d", "2", "--kind", "spread")
+        doc = json.loads(out)
+        doc["parts"] = []
+        (doc["ambient"] if key == "n" else doc)[key] = value
+        path = tmp_path / "bad_shape.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--partition", str(path))
+        assert code == 1 and out2 == ""
+        assert err.startswith("error: ") and f"{key} must be" in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 1 and "error" in err
@@ -142,10 +198,15 @@ class TestOracleCommand:
                            "--k", "1")
         assert code == 0 and out.strip() == "4"
 
-    def test_min_with_threads_and_hint(self, capsys):
+    def test_min_with_hint(self, capsys):
         code, out, _ = run(capsys, "oracle", "min", "--p", "2", "--n", "4",
-                           "--k", "2", "--threads", "4", "--upper-hint", "7")
+                           "--k", "2", "--upper-hint", "7")
         assert code == 0 and out.strip() == "5"
+
+    def test_threads_flag_rejected(self, capsys):
+        code, _, err = run(capsys, "oracle", "min", "--p", "2", "--n", "4",
+                           "--k", "2", "--threads", "4")
+        assert code == 1 and "error" in err
 
 
 class TestAssignCommand:
@@ -198,10 +259,13 @@ class TestErrors:
 
 
 def test_console_entry_point():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "subcover", "nu", "--p", "2", "--n", "2",
          "--k", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"

@@ -76,6 +76,15 @@ class TestFieldNew:
         with pytest.raises(ValueError):
             field_new(2, 32)  # 2^32 over the desk bound
 
+    def test_bound_is_read_after_the_field_is_cached(self, monkeypatch):
+        field_new(2, 12)
+        monkeypatch.setenv("SUBCOVER_MAX_Q_POW", "1024")
+        with pytest.raises(ValueError):
+            field_new(2, 12)
+        with pytest.raises(ValueError):
+            field_new(2, 11)
+        assert field_new(2, 10).q == 1024
+
     def test_is_prime(self):
         primes = [n for n in range(2, 60) if is_prime(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,

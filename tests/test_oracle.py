@@ -9,6 +9,7 @@ from subcover.covers import Cover, cover_finite, minimal_cover_count
 from subcover.gf import field_new
 from subcover.linalg import contains, enumerate_vectors, full_subspace
 from subcover.oracle import (
+    _subspace_point_mask,
     enumerate_subspaces,
     gaussian_binomial,
     min_cover_size,
@@ -46,15 +47,15 @@ class TestProjectivePoints:
     @pytest.mark.parametrize("f,n", [(F2, 2), (F2, 4), (F3, 3)])
     def test_count_and_canonical_reps(self, f, n):
         pts = projective_points(f, n)
-        assert len(pts.points) == (f.q**n - 1) // (f.q - 1)
-        for p in pts.points:
+        assert len(pts) == (f.q**n - 1) // (f.q - 1)
+        for p in pts:
             lead = next(x for x in p if x)
             assert lead == 1
 
     def test_pairwise_non_proportional(self):
         pts = projective_points(F3, 2)
         seen = set()
-        for p in pts.points:
+        for p in pts:
             for c in range(1, 3):
                 scaled = tuple(F3.mul(c, x) for x in p)
                 assert scaled not in seen
@@ -133,6 +134,18 @@ class TestVerify:
         assert doc["ok"] is True and doc["checked"] == 3
 
 
+@pytest.mark.parametrize("f,n", [
+    (F2, 4), (F3, 3), (field_new(2, 2), 3), (field_new(5, 1), 3),
+])
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_mask_matches_membership(f, n, d):
+    pts = projective_points(f, n)
+    point_index = {pt: i for i, pt in enumerate(pts)}
+    for s in enumerate_subspaces(f, n, d):
+        want = sum(1 << i for i, pt in enumerate(pts) if contains(s, pt))
+        assert _subspace_point_mask(s, point_index) == want
+
+
 class TestMinCoverSize:
     def test_lines_anchor_values(self):
         assert min_cover_size(F2, 2, 1) == 3
@@ -162,11 +175,6 @@ class TestMinCoverSize:
         assert min_cover_size(F2, 2, 1, upper_hint=10) == 3
         assert min_cover_size(F2, 4, 2, upper_hint=4) == 5
 
-    def test_threads_flag(self):
-        assert min_cover_size(F2, 2, 1, threads=4) == 3
-        with pytest.raises(ValueError):
-            min_cover_size(F2, 2, 1, threads=0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             min_cover_size(F2, 3, 3)
@@ -187,6 +195,6 @@ class TestProjectiveReductionSoundness:
                 any(contains(s, v) for s in family) for v in all_vectors
             )
             covers_points = all(
-                any(contains(s, p) for s in family) for p in pts.points
+                any(contains(s, p) for s in family) for p in pts
             )
             assert covers_vectors == covers_points
