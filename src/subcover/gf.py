@@ -274,13 +274,14 @@ class FieldElem:
 def field_new(p: int, m: int) -> FieldDescriptor:
     """Construct GF(p^m) with the deterministic smallest irreducible modulus.
 
-    Raises ValueError for non-prime p, m < 1, or p**m over the desk bound.
-    The bound is read on every call; only the construction is cached.
+    Raises ValueError for a p or m that is not an int (a bool is not),
+    non-prime p, m < 1, or p**m over the desk bound.  The bound is read on
+    every call; only the construction is cached.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"extension degree must be >= 1, got {m}")
+    if type(p) is not int or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"extension degree must be an integer >= 1, got {m!r}")
     q = p**m
     bound = max_q_pow()
     if q > bound:

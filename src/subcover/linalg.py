@@ -9,6 +9,7 @@ through hashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import check_enumeration_size
@@ -170,8 +171,10 @@ def subspace_from_rref(f: FieldDescriptor, n: int,
     for row in rows:
         if len(row) != n:
             raise ValueError("basis row has wrong length")
-        if any(not 0 <= e < q for e in row):
-            raise ValueError("entry encoding out of range")
+        if any(type(e) is not int or not 0 <= e < q for e in row):
+            raise ValueError(
+                f"basis entries must be integer encodings in [0, {q}), "
+                f"got {list(row)!r}")
         lead = next((j for j, e in enumerate(row) if e), None)
         if lead is None:
             raise ValueError("zero row in basis")
@@ -334,18 +337,38 @@ def lift(q: LinearQuotient, s_bar: Subspace) -> Subspace:
     return subspace_from_generators(q.field, q.ambient_dim, gens)
 
 
+# The most tail vectors span_tuples holds at once.
+SPAN_BLOCK = 4096
+
+
 def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
                 width: int) -> Iterator[Row]:
-    """All q**len(rows) combinations, coefficient tuples in lexicographic
-    order over the canonical field order (first coefficient slowest)."""
-    if not rows:
-        yield (0,) * width
+    """All q**len(rows) vectors sum(c_i * rows[i]), lazily, ordered by the
+    coefficient tuples (c_0, c_1, ...) in lexicographic order over the
+    canonical field order (first coefficient slowest).
+
+    The span of the last rows is built once by doubling, as long as it stays
+    within SPAN_BLOCK vectors; each combination of the remaining head
+    coefficients is summed once and added to every one of those tail
+    vectors.  Memory is bounded whatever the span's dimension: the q scaled
+    copies of each row plus at most SPAN_BLOCK tail vectors.
+    """
+    add = f.add
+    scaled = [[vec_scale(f, c, row) for c in range(f.q)] for row in rows]
+    tail = [(0,) * width]
+    split = len(rows)
+    while split and len(tail) * f.q <= SPAN_BLOCK:
+        split -= 1
+        tail = [tuple(map(add, rc, v)) for rc in scaled[split] for v in tail]
+    if not split:
+        yield from tail
         return
-    head, rest = rows[0], rows[1:]
-    for c in range(f.q):
-        scaled = vec_scale(f, c, head)
-        for tail_vec in span_tuples(f, rest, width):
-            yield vec_add(f, scaled, tail_vec)
+    for combo in product(*scaled[:split]):
+        head = combo[0]
+        for rc in combo[1:]:
+            head = tuple(map(add, head, rc))
+        for v in tail:
+            yield tuple(map(add, head, v))
 
 
 def enumerate_vectors(s: Subspace) -> Iterator[Vec]:

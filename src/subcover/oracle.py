@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import mul
 
 from .bounds import DEFAULT_MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, minimal_cover_count
@@ -102,13 +103,6 @@ class VerificationReport:
         }
 
 
-def _vector_index(entries: Row, q: int) -> int:
-    idx = 0
-    for e in reversed(entries):
-        idx = idx * q + e
-    return idx
-
-
 def _index_vector(idx: int, q: int, n: int) -> Row:
     out = []
     for _ in range(n):
@@ -124,11 +118,12 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
     q = f.q
     check_enumeration_size(q**n, f"verifying a {what} of GF({q})^{n}")
     hits = bytearray(q**n)
+    weights = [q**i for i in range(n)]  # a vector's index is sum(v_i * q**i)
     for s in members:
         if s.field != f or s.n != n:
             raise ValueError(f"{what} {member} in wrong ambient space")
         for v in span_tuples(f, s.basis, n):
-            i = _vector_index(v, q)
+            i = sum(map(mul, v, weights))
             if hits[i] < 2:
                 hits[i] += 1
     return hits

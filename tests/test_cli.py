@@ -187,6 +187,29 @@ class TestVerifyCommand:
         assert code == 1 and out2 == ""
         assert err.startswith("error: ") and f"{key} must be" in err
 
+    def test_bool_extension_degree_rejected(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")
+        doc = json.loads(out)
+        for field in [doc["ambient"]["field"]] + [
+                s["field"] for s in doc["subspaces"]]:
+            field["m"] = True
+        path = tmp_path / "bool_degree.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--cover", str(path))
+        assert code == 1 and out2 == ""
+        assert err.startswith("error: ") and "extension degree" in err
+
+    def test_bool_basis_entries_rejected(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")
+        doc = json.loads(out)
+        basis = doc["subspaces"][0]["basis"]
+        doc["subspaces"][0]["basis"] = [[e == 1 for e in row] for row in basis]
+        path = tmp_path / "bool_basis.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--cover", str(path))
+        assert code == 1 and out2 == ""
+        assert err.startswith("error: ") and "integer encodings" in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 1 and "error" in err

@@ -244,3 +244,13 @@ class TestJson:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             field_from_json({"p": 2})
+
+    @pytest.mark.parametrize("doc", [
+        {"p": 2, "m": True, "modulus": [0, 1]},
+        {"p": 3, "m": True, "modulus": [0, 1]},
+        {"p": True, "m": 1, "modulus": [0, 1]},
+        {"p": 2, "m": 1.0, "modulus": [0, 1]},
+    ])
+    def test_rejects_bool_or_float_parameters(self, doc):
+        with pytest.raises(ValueError):
+            field_from_json(doc)

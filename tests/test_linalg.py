@@ -1,11 +1,14 @@
 """Subspace canonicalization, membership, intersection, quotients, lifts."""
 
 import random
+import tracemalloc
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subcover import linalg
 from subcover.gf import field_new
 from subcover.linalg import (
     Vec,
@@ -20,6 +23,7 @@ from subcover.linalg import (
     project,
     quotient,
     rref,
+    span_tuples,
     subspace_from_generators,
     subspace_from_json,
     subspace_sum,
@@ -288,6 +292,43 @@ class TestEnumerateVectors:
         s = full_subspace(F2, 4)
         with pytest.raises(ValueError):
             list(enumerate_vectors(s))
+
+
+class TestSpanTuples:
+    # q**(n-1) exceeds SPAN_BLOCK for GF(2)^14, GF(3)^9 and GF(9)^5, so
+    # their largest spans are walked as head combinations over a tail block;
+    # a block of 8 makes most spans sum several head rows, and leaves
+    # GF(2^8) with no tail rows at all
+    @pytest.mark.parametrize("block", [linalg.SPAN_BLOCK, 8])
+    @pytest.mark.parametrize("p,m,n", [
+        (2, 1, 14), (2, 2, 6), (3, 1, 9), (3, 2, 5), (5, 1, 5), (2, 8, 2),
+    ])
+    def test_matches_linear_combinations_in_order(self, p, m, n, block,
+                                                  monkeypatch):
+        monkeypatch.setattr(linalg, "SPAN_BLOCK", block)
+        f = field_new(p, m)
+        rng = random.Random(100 * p + 10 * m + n)
+        for dim in sorted({0, rng.randrange(n), n - 1}):
+            gens = []
+            s = zero_subspace(f, n)
+            while s.dim < dim:
+                gens.append(tuple(rng.randrange(f.q) for _ in range(n)))
+                s = subspace_from_generators(f, n, gens)
+            want = [linear_combination(f, c, s.basis) if s.basis else (0,) * n
+                    for c in product(range(f.q), repeat=dim)]
+            assert list(span_tuples(f, s.basis, n)) == want
+
+    def test_memory_stays_bounded(self):
+        s = full_subspace(F2, 20)
+        tracemalloc.start()
+        try:
+            first = list(islice(span_tuples(F2, s.basis, 20), 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first == [tuple(c) for c in
+                         islice(product(range(2), repeat=20), 10)]
+        assert peak < 4 * 2**20
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@
 exact minimality search."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -127,6 +128,18 @@ class TestVerify:
         report = verify_partition(doctored)
         assert not report.ok
         assert len(report.double_covered) == 1  # the duplicated line minus 0
+
+    @pytest.mark.parametrize("f,n,k", [(F3, 3, 1), (field_new(3, 2), 2, 1)])
+    def test_dropped_subspace_matches_brute_force(self, f, n, k):
+        c = cover_finite(f, n, k)
+        kept = c.subspaces[1:]
+        report = verify_cover(Cover(f, n, k, kept, c.provenance))
+        # every vector in increasing index order: the first entry fastest
+        vectors = [v[::-1] for v in product(range(f.q), repeat=n)][1:]
+        want = tuple(v for v in vectors
+                     if not any(contains(s, v) for s in kept))
+        assert want and report.uncovered == want
+        assert not report.ok and report.checked == f.q**n - 1
 
     def test_report_json_shape(self):
         doc = verify_cover(lines_cover(F2)).to_json()
