@@ -19,6 +19,7 @@ from .gf import FieldDescriptor, field_from_json, field_to_json
 from .linalg import (
     LinearQuotient,
     Subspace,
+    json_fields,
     json_int,
     linear_combination,
     lift,
@@ -443,10 +444,12 @@ def projective_index_to_json(x: ProjectiveIndex) -> dict:
 
 
 def projective_index_from_json(doc: dict) -> ProjectiveIndex:
-    try:
-        return ProjectiveIndex(doc["i"], tuple(Fraction(t) for t in doc["tail"]))
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed projective index: {doc!r}") from exc
+    i, tail = json_fields(doc, "projective index", "i", "tail")
+    if not isinstance(tail, list) or not all(isinstance(t, str) for t in tail):
+        raise ValueError("malformed projective index document: tail must be "
+                         "a list of rational strings")
+    return ProjectiveIndex(json_int(i, "projective index i", 0),
+                           tuple(Fraction(t) for t in tail))
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +500,27 @@ def provenance_to_json(p: Provenance) -> dict:
     return {"kind": p.kind, "steps": steps}
 
 
+_PROVENANCE_KINDS = ("spread", "peeling", "lifted")
+_STEP_KINDS = ("spread", "peel", "tail", "lift")
+_STEP_INTS = ("ambient_dim", "block_dim", "count", "kernel_dim", "quotient_dim")
+
+
 def provenance_from_json(doc: dict) -> Provenance:
-    steps = tuple(
-        PlanStep(
-            s["kind"], s["ambient_dim"], s["block_dim"], s["count"],
-            kernel_dim=s.get("kernel_dim", 0),
-            quotient_dim=s.get("quotient_dim", 0),
-        )
-        for s in doc["steps"]
-    )
-    return Provenance(doc["kind"], steps)
+    kind, raw_steps = json_fields(doc, "provenance", "kind", "steps")
+    if kind not in _PROVENANCE_KINDS:
+        raise ValueError(f"unknown provenance kind {kind!r}")
+    if not isinstance(raw_steps, list):
+        raise ValueError("malformed provenance document: steps must be a list")
+    steps = []
+    for s in raw_steps:
+        step_kind, *_ = json_fields(s, "plan step", "kind", "ambient_dim",
+                                    "block_dim", "count")
+        if step_kind not in _STEP_KINDS:
+            raise ValueError(f"unknown plan step kind {step_kind!r}")
+        ints = {key: json_int(s.get(key, 0), f"plan step {key}", 0)
+                for key in _STEP_INTS}
+        steps.append(PlanStep(step_kind, **ints))
+    return Provenance(kind, tuple(steps))
 
 
 def cover_to_json(c: Cover) -> dict:
@@ -520,17 +534,16 @@ def cover_to_json(c: Cover) -> dict:
 
 
 def cover_from_json(doc: dict) -> Cover:
-    try:
-        f = field_from_json(doc["ambient"]["field"])
-        n = doc["ambient"]["n"]
-        codim = doc["codim"]
-        subspaces = tuple(subspace_from_json(s) for s in doc["subspaces"])
-        prov = provenance_from_json(doc["provenance"])
-        count = doc["count"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed cover document: {doc!r}") from exc
+    ambient, codim, subspaces, prov, count = json_fields(
+        doc, "cover", "ambient", "codim", "subspaces", "provenance", "count")
+    field_doc, n = json_fields(ambient, "cover ambient", "field", "n")
+    f = field_from_json(field_doc)
     n = json_int(n, "ambient n", 1)
     codim = json_int(codim, "codim")
+    if not isinstance(subspaces, list):
+        raise ValueError("malformed cover document: subspaces must be a list")
+    subspaces = tuple(subspace_from_json(s, f) for s in subspaces)
+    prov = provenance_from_json(prov)
     if count != len(subspaces):
         raise ValueError("count does not match the subspace list")
     return Cover(f, n, codim, subspaces, prov)

@@ -7,6 +7,12 @@ canonical integer encoding enc(a) = sum(coeffs[i] * p**i), a bijection onto
 arithmetic methods (`add`, `mul`, ...) work directly on these integer
 encodings; `FieldElem` is the wrapped value type with operator support.
 
+Every (p, m) takes one table-driven path.  On its first arithmetic call a
+descriptor builds log/antilog tables to the base of its least primitive
+element g (smallest encoding), so mul, div, inv, pow, frobenius and neg
+are lookups.  Addition is XOR of encodings in characteristic 2 and uses
+Zech logarithms for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n).
+
 The modulus of GF(p^m) is always the lexicographically smallest monic
 irreducible polynomial of degree m over GF(p) (coefficient-tuple order,
 constant term first), so two descriptors for the same (p, m) are
@@ -16,8 +22,11 @@ interchangeable.  For m = 1 the modulus is the polynomial x.
 from __future__ import annotations
 
 import itertools
+import operator
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import isqrt
 from typing import Iterator
 
 from .bounds import max_q_pow
@@ -53,6 +62,28 @@ def _poly_rem(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, 
     return tuple(r)
 
 
+def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
+    """Product of two non-empty polynomials over GF(p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _poly_pow(a: tuple[int, ...], e: int, modulus: tuple[int, ...],
+              p: int) -> tuple[int, ...]:
+    """a**e modulo the monic modulus over GF(p), by square-and-multiply."""
+    out = (1,)
+    while e:
+        if e & 1:
+            out = _poly_rem(_poly_mul(out, a, p), modulus, p)
+        a = _poly_rem(_poly_mul(a, a, p), modulus, p)
+        e >>= 1
+    return out
+
+
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     """Trial division against every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
@@ -79,10 +110,6 @@ class FieldDescriptor:
 
     def __post_init__(self):
         object.__setattr__(self, "q", self.p**self.m)
-        if self.p == 2 and self.m > 1:
-            # bit form of the modulus, for carry-less multiplication
-            mod_int = sum(c << i for i, c in enumerate(self.modulus))
-            object.__setattr__(self, "_mod2", mod_int)
 
     def __repr__(self) -> str:
         return f"GF({self.p})" if self.m == 1 else f"GF({self.p}^{self.m})"
@@ -91,102 +118,111 @@ class FieldDescriptor:
 
     def digits(self, e: int) -> tuple[int, ...]:
         """Base-p digit tuple (constant coefficient first) of an encoding."""
-        return tuple(self._digit_list(e))
-
-    # -- arithmetic on integer encodings ------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        out = 0
-        mult = 1
-        for _ in range(m):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (-a) % p
-        if p == 2:
-            return a
-        out = 0
-        mult = 1
-        for _ in range(m):
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a * b) % p
-        if p == 2:
-            mod, top = self._mod2, 1 << m
-            r = 0
-            while a and b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod
-            return r
-        da, db = self._digit_list(a), self._digit_list(b)
-        t = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    if cb:
-                        t[i + j] = (t[i + j] + ca * cb) % p
-        mod = self.modulus
-        for i in range(2 * m - 2, m - 1, -1):
-            c = t[i]
-            if c:
-                base = i - m
-                for j in range(m + 1):
-                    t[base + j] = (t[base + j] - c * mod[j]) % p
-        out = 0
-        for i in range(m - 1, -1, -1):
-            out = out * p + t[i]
-        return out
-
-    def _digit_list(self, e: int) -> list[int]:
         p = self.p
         out = []
         for _ in range(self.m):
             e, r = divmod(e, p)
             out.append(r)
-        return out
+        return tuple(out)
+
+    # -- log/antilog tables -------------------------------------------------
+
+    @cached_property
+    def _tables(self) -> tuple[array, array, array, int]:
+        """``(exp, log, zech, log(-1))``, built on the first arithmetic call.
+
+        With g the least primitive element: ``exp[i] = enc(g^i)`` over two
+        periods, ``log[enc(g^i)] = i`` (and ``log[0] = 0``), and for odd p
+        ``zech[n] = log(1 + g^n)``, 0 exactly where 1 + g^n = 0 (empty in
+        characteristic 2).  Entries take 2 bytes while q <= 2^16, 4 above.
+        -1 has encoding p - 1, so log(-1) is (q-1)/2 for odd p and 0 for p = 2.
+        """
+        p, q, m, modulus = self.p, self.q, self.m, self.modulus
+        n = q - 1
+        # g generates GF(q)* iff g^(n/r) != 1 for every prime r dividing n
+        primes = {d for r in range(1, isqrt(n) + 1) if n % r == 0
+                  for d in (r, n // r) if is_prime(d)}
+        for g in range(1, q):
+            # g's digits without trailing zeros, so each product is short
+            step = _poly_rem(self.digits(g), modulus, p)
+            if all(_poly_pow(step, n // r, modulus, p) != (1,) for r in primes):
+                break
+        # The tables are filled coset by coset, g^s <h> for h = x (h = g when
+        # m = 1), since an encoding times h is one integer product whose
+        # overflow digit c folds back as c x^m = -c (modulus - x^m).
+        h = p if m > 1 else g
+        folds = [(p**j, -c % p) for j, c in enumerate(modulus[:m]) if c]
+
+        def orbit(e):  # e, h e, h^2 e, ... until the walk returns to e
+            start = e
+            while True:
+                yield e
+                c, e = divmod(e * h, q)
+                for w, t in folds:
+                    d = e // w % p
+                    e += ((d + c * t) % p - d) * w
+                if e == start:
+                    return
+
+        code = "H" if q <= 1 << 16 else "I"
+        weights = [p**j for j in range(m)]
+        powers_of_h = array(code, orbit(1))
+        k = len(powers_of_h)
+        r = n // k
+        # g^r = h^j generates <h>, so h = g^(r / j mod k)
+        g_r = sum(map(operator.mul, _poly_pow(step, r, modulus, p), weights))
+        log_h = r * pow(powers_of_h.index(g_r), -1, k)
+        exp, log = array(code, [0]) * (2 * n), array(code, [0]) * q
+        for s in range(r):
+            g_s = _poly_pow(step, s, modulus, p)
+            i = s  # the log of g^s h^j for j = 0, 1, ...
+            for e in orbit(sum(map(operator.mul, g_s, weights))):
+                exp[i] = exp[i + n] = e
+                log[e] = i
+                i = (i + log_h) % n
+        zech = array(code, () if p == 2 else
+                     (log[e - e % p + (e + 1) % p]
+                      for e in itertools.islice(exp, n)))
+        return exp, log, zech, log[p - 1]
+
+    # -- arithmetic on integer encodings ------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
+        if not (a and b):
+            return a or b
+        exp, log, zech, _ = self._tables
+        la = log[a]
+        # g^la + g^lb = g^(la + zech[lb - la]); zech has q - 1 entries, so
+        # a negative difference wraps modulo q - 1.
+        z = zech[log[b] - la]
+        return z and exp[la + z]
+
+    def neg(self, a: int) -> int:
+        exp, log, _, log_minus_one = self._tables
+        return a and exp[log[a] + log_minus_one]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        exp, log, _, _ = self._tables
+        return a and b and exp[log[a] + log[b]]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("0 has no inverse")
             return 1 if e == 0 else 0
-        e %= self.q - 1
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        exp, log, _, _ = self._tables
+        return exp[log[a] * e % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by zero in " + repr(self))
-        return self.pow(a, self.q - 2)
+        exp, log, _, _ = self._tables
+        return exp[self.q - 1 - log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -195,9 +231,7 @@ class FieldDescriptor:
         """a raised to p**i (i-fold Frobenius); identity for i % m == 0."""
         if i < 0:
             raise ValueError("frobenius power must be non-negative")
-        for _ in range(i % self.m):
-            a = self.pow(a, self.p)
-        return a
+        return self.pow(a, self.p ** (i % self.m))
 
     # -- element construction -----------------------------------------------
 
@@ -205,7 +239,7 @@ class FieldDescriptor:
         """Element with canonical encoding ``e``."""
         if not 0 <= e < self.q:
             raise ValueError(f"encoding {e} out of range for {self!r}")
-        return FieldElem(self, tuple(self._digit_list(e)))
+        return FieldElem(self, self.digits(e))
 
     @property
     def zero(self) -> "FieldElem":
@@ -331,10 +365,12 @@ def field_from_json(doc: dict) -> FieldDescriptor:
     """Parse a field document, rejecting anything non-canonical."""
     try:
         p, m, modulus = doc["p"], doc["m"], doc["modulus"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed field document: {doc!r}") from exc
+    except KeyError as exc:
+        raise ValueError(f"malformed field document: missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed field document: {exc}") from exc
     f = field_new(p, m)
-    if list(f.modulus) != list(modulus):
+    if not isinstance(modulus, (list, tuple)) or list(f.modulus) != list(modulus):
         raise ValueError(
             f"modulus {modulus} is not the canonical modulus for GF({p}^{m})"
         )

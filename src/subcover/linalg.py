@@ -407,10 +407,31 @@ def json_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
-def subspace_from_json(doc: dict) -> Subspace:
-    try:
-        f = field_from_json(doc["field"])
-        n, basis = doc["n"], doc["basis"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed subspace document: {doc!r}") from exc
-    return subspace_from_rref(f, n, [tuple(r) for r in basis])
+def json_fields(doc, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``doc``.  A document that
+    is not an object, or lacks a key, raises ValueError naming the document
+    kind ``what`` and the key, never the document itself."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {what} document: expected an object, "
+                         f"got {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"malformed {what} document: missing key {key!r}")
+    return [doc[key] for key in keys]
+
+
+def subspace_from_json(doc: dict, ambient: FieldDescriptor | None = None
+                       ) -> Subspace:
+    """Parse a subspace document.  A caller that has parsed the ambient
+    field already passes it as ``ambient``: a subspace whose field document
+    equals the ambient one then reuses it instead of parsing its own."""
+    field_doc, n, basis = json_fields(doc, "subspace", "field", "n", "basis")
+    if ambient is not None and field_doc == field_to_json(ambient):
+        f = ambient
+    else:
+        f = field_from_json(field_doc)
+    n = json_int(n, "subspace n", 1)
+    if not isinstance(basis, list) or not all(isinstance(r, list) for r in basis):
+        raise ValueError("malformed subspace document: basis must be a list "
+                         "of rows")
+    return subspace_from_rref(f, n, basis)

@@ -25,6 +25,7 @@ from .gf import FieldDescriptor, field_from_json, field_new, field_to_json
 from .linalg import (
     Subspace,
     invert_matrix,
+    json_fields,
     json_int,
     kernel,
     span_tuples,
@@ -267,19 +268,17 @@ def partition_to_json(p: Partition) -> dict:
 
 
 def partition_from_json(doc: dict) -> Partition:
-    try:
-        kind = doc["kind"]
-        f = field_from_json(doc["ambient"]["field"])
-        n = doc["ambient"]["n"]
-        d = doc["d"]
-        lit = doc["literature_range"]
-        parts = tuple(subspace_from_json(s) for s in doc["parts"])
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed partition document: {doc!r}") from exc
+    kind, ambient, d, lit, parts = json_fields(
+        doc, "partition", "kind", "ambient", "d", "literature_range", "parts")
+    field_doc, n = json_fields(ambient, "partition ambient", "field", "n")
+    f = field_from_json(field_doc)
     n = json_int(n, "ambient n", 1)
     d = json_int(d, "d")
     if kind not in ("spread", "mixed"):
         raise ValueError(f"unknown partition kind {kind!r}")
+    if not isinstance(parts, list):
+        raise ValueError("malformed partition document: parts must be a list")
+    parts = tuple(subspace_from_json(s, f) for s in parts)
     for s in parts:
         if s.field != f or s.n != n:
             raise ValueError("partition part has mismatched ambient space")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from subcover import cli
+from subcover import cli, gf
 from subcover.covers import cover_from_json
 from subcover.linalg import enumerate_vectors
 from subcover.partitions import partition_from_json
@@ -213,6 +213,67 @@ class TestVerifyCommand:
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 1 and "error" in err
+
+    def test_missing_key_error_is_short(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "partition", "--p", "2", "--n", "8",
+                        "--d", "1", "--kind", "spread")
+        doc = json.loads(out)
+        assert len(doc["parts"]) == 255
+        del doc["kind"]
+        path = tmp_path / "no_kind.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--partition", str(path))
+        assert code == 1 and out2 == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines[0]) < 200 and "'kind'" in lines[0]
+
+    def test_bool_subspace_n_rejected(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")
+        doc = json.loads(out)
+        doc["subspaces"][0]["n"] = True
+        path = tmp_path / "bool_n.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--cover", str(path))
+        assert code == 1 and out2 == ""
+        assert err.startswith("error: ") and "subspace n must be" in err
+
+    def test_ambient_field_is_parsed_once(self, capsys, monkeypatch):
+        _, out, _ = run(capsys, "partition", "--p", "2", "--n", "8",
+                        "--d", "1", "--kind", "spread")
+        calls = []
+        field_new = gf.field_new
+        monkeypatch.setattr(gf, "field_new",
+                            lambda p, m: calls.append((p, m)) or field_new(p, m))
+        assert len(partition_from_json(json.loads(out)).parts) == 255
+        assert calls == [(2, 1)]
+
+    def test_part_with_another_field_is_a_mismatch(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "partition", "--p", "2", "--n", "2",
+                        "--d", "1", "--kind", "spread")
+        doc = json.loads(out)
+        doc["parts"][0]["field"] = {"p": 3, "m": 1, "modulus": [0, 1]}
+        path = tmp_path / "other_field.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", "--partition", str(path))
+        assert code == 1
+        assert err == "error: partition part has mismatched ambient space\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda prov: prov.update(kind="bogus"), "provenance kind"),
+        (lambda prov: prov["steps"][0].update(kind="bogus"), "step kind"),
+        (lambda prov: prov["steps"][0].update(ambient_dim=[]), "ambient_dim"),
+        (lambda prov: prov["steps"][0].pop("count"), "'count'"),
+    ])
+    def test_bad_provenance_rejected(self, capsys, tmp_path, edit, message):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")
+        doc = json.loads(out)
+        edit(doc["provenance"])
+        path = tmp_path / "bad_provenance.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--cover", str(path))
+        assert code == 1 and out2 == ""
+        assert err.startswith("error: ") and message in err
 
 
 class TestOracleCommand:

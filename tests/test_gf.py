@@ -1,6 +1,7 @@
 """Field arithmetic: construction, canonical moduli, axioms, Frobenius."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from subcover.gf import (
     FieldElem,
+    _build_field,
     arith,
     enumerate_field,
     field_from_json,
@@ -18,17 +20,18 @@ from subcover.gf import (
 )
 
 
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return tuple(out)
+
+
 def brute_smallest_irreducible(p, m):
     """Independent oracle: scan monic degree-m polynomials in lex order and
     return the first with no monic divisor of degree 1..m-1, where
     divisibility is checked by exhaustive polynomial multiplication."""
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-        return tuple(out)
 
     def monics(deg):
         for tail in itertools.product(range(p), repeat=deg):
@@ -42,7 +45,7 @@ def brute_smallest_irreducible(p, m):
                 continue
             for f1 in monics(d1):
                 for f2 in monics(d2):
-                    if poly_mul(f1, f2) == cand:
+                    if poly_mul(f1, f2, p) == cand:
                         reducible = True
                         break
                 if reducible:
@@ -254,3 +257,75 @@ class TestJson:
     def test_rejects_bool_or_float_parameters(self, doc):
         with pytest.raises(ValueError):
             field_from_json(doc)
+
+
+class TestTables:
+    """The log/antilog path against schoolbook polynomial arithmetic."""
+
+    @staticmethod
+    def ref_mul(f, a, b):
+        p, m = f.p, f.m
+        prod = list(poly_mul(f.digits(a), f.digits(b), p))
+        for i in range(len(prod) - 1, m - 1, -1):  # reduce by the monic modulus
+            c = prod[i]
+            for j, mc in enumerate(f.modulus):
+                prod[i - m + j] = (prod[i - m + j] - c * mc) % p
+        return sum(c * p**i for i, c in enumerate(prod[:m]))
+
+    @classmethod
+    def ref_pow(cls, f, a, e):
+        out = 1
+        for bit in bin(e)[2:]:
+            out = cls.ref_mul(f, out, out)
+            if bit == "1":
+                out = cls.ref_mul(f, out, a)
+        return out
+
+    @staticmethod
+    def ref_add(f, a, b, sign=1):
+        da, db = f.digits(a), f.digits(b)
+        return sum((x + sign * y) % f.p * f.p**i
+                   for i, (x, y) in enumerate(zip(da, db)))
+
+    @pytest.mark.parametrize("p,m", [(2, 8), (3, 5), (7, 2)])
+    def test_log_inverts_exp(self, p, m):
+        f = field_new(p, m)
+        exp, log, *_ = f._tables
+        assert len(exp) == 2 * (f.q - 1)
+        assert sorted(exp[:f.q - 1]) == list(range(1, f.q))
+        for i in range(f.q - 1):
+            assert log[exp[i]] == i
+            assert exp[i + f.q - 1] == exp[i]
+
+    @pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (5, 4), (11, 1), (2, 8)])
+    def test_ops_match_polynomial_arithmetic(self, p, m):
+        f = field_new(p, m)
+        rng = random.Random(p * 100 + m)
+        samples = [0, 1, f.q - 1] + [rng.randrange(f.q) for _ in range(60)]
+        for a in samples:
+            b = rng.randrange(f.q)
+            assert f.mul(a, b) == self.ref_mul(f, a, b)
+            assert f.add(a, b) == self.ref_add(f, a, b)
+            assert f.add(a, f.neg(a)) == 0
+            assert f.neg(a) == self.ref_add(f, 0, a, sign=-1)
+            assert f.sub(a, b) == self.ref_add(f, a, b, sign=-1)
+            e = rng.randrange(3 * f.q)
+            assert f.pow(a, e) == self.ref_pow(f, a, e)
+            i = rng.randrange(2 * m + 1)
+            assert f.frobenius(a, i) == self.ref_pow(f, a, p**i)
+            if a:
+                inv = f.inv(a)
+                assert self.ref_mul(f, a, inv) == 1
+                assert f.pow(a, -e) == self.ref_pow(f, inv, e)
+                assert f.div(b, a) == self.ref_mul(f, b, inv)
+
+    def test_tables_are_built_on_first_multiplication(self):
+        _build_field.cache_clear()
+        f = field_new(3, 4)
+        assert "_tables" not in vars(f)
+        f.elem(5)
+        f.digits(7)
+        field_from_json(field_to_json(f))
+        assert "_tables" not in vars(f)
+        assert f.mul(5, 7) == self.ref_mul(f, 5, 7)
+        assert "_tables" in vars(f)
