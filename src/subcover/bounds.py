@@ -32,11 +32,14 @@ def max_q_pow() -> int:
     return value
 
 
-def check_enumeration_size(size: int, what: str) -> None:
-    """Raise ValueError if an exhaustive operation of ``size`` steps is over bound."""
+def check_enumeration_size(q: int, n: int, what: str) -> int:
+    """Return q**n, the steps of an exhaustive operation (q >= 2, n >= 0),
+    or raise ValueError if that is over the bound.  An n beyond the bound's
+    bit length is over it, so q**n is never computed for a huge n."""
     bound = max_q_pow()
-    if size > bound:
+    if n > bound.bit_length() or q**n > bound:
         raise ValueError(
-            f"{what} needs {size} enumeration steps, over the configured "
+            f"{what} needs {q}^{n} enumeration steps, over the configured "
             f"bound {bound} (set {_ENV_VAR} to raise it)"
         )
+    return q**n

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .bounds import check_enumeration_size
 from .gf import FieldDescriptor, field_from_json, field_to_json
 from .linalg import (
     LinearQuotient,
     Subspace,
     json_fields,
     json_int,
-    linear_combination,
     lift,
     quotient,
     subspace_from_generators,
@@ -285,10 +285,11 @@ class Cover:
         return len(self.subspaces)
 
 
-def _embed_through(f: FieldDescriptor, s: Subspace, embedding: Sequence,
-                   n: int) -> Subspace:
-    gens = [linear_combination(f, row, embedding) for row in s.basis]
-    return subspace_from_generators(f, n, gens)
+def _pad(s: Subspace, n: int) -> Subspace:
+    """s as a subspace of F^n on the first s.n coordinates: its RREF rows
+    padded with zeros are still in RREF, with the same pivots."""
+    pad = (0,) * (n - s.n)
+    return Subspace(s.field, n, tuple(row + pad for row in s.basis), s.pivots)
 
 
 def cover_finite(f: FieldDescriptor, n: int, k: int) -> Cover:
@@ -300,23 +301,20 @@ def cover_finite(f: FieldDescriptor, n: int, k: int) -> Cover:
     r sits strictly between d and 2d, and the tail covers that leftover by
     lifting a spread of a 2(r-d)-dimensional quotient.
     """
+    check_enumeration_size(f.q, n, f"cover_finite(q={f.q}, n={n}, k={k})")
     plan = cover_plan(f.q, n, k)
     d = n - k
     if plan.kind == "spread":
         parts = spread_partition(f, n, d).parts
         return Cover(f, n, k, parts, plan)
 
+    # each mixed partition lives on the first cur coordinates, the
+    # distinguished part of the one before
     subs: list[Subspace] = []
-    embedding: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    ]
     cur = n
     while cur > 2 * d:
         mp = mixed_partition(f, cur, d)
-        for graph in mp.parts[1:]:
-            subs.append(_embed_through(f, graph, embedding, n))
-        # the distinguished part is the span of the first cur-d coordinates
-        embedding = embedding[: cur - d]
+        subs.extend(_pad(graph, n) for graph in mp.parts[1:])
         cur -= d
 
     r = cur
@@ -327,8 +325,7 @@ def cover_finite(f: FieldDescriptor, n: int, k: int) -> Cover:
     )
     quot = quotient(v0)
     tail_spread = spread_partition(f, 2 * (r - d), r - d)
-    for part in tail_spread.parts:
-        subs.append(_embed_through(f, lift(quot, part), embedding, n))
+    subs.extend(_pad(lift(quot, part), n) for part in tail_spread.parts)
 
     if len(subs) != plan.predicted_count:
         raise AssertionError("materialized count differs from the plan")

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Iterator
 
-from .bounds import max_q_pow
+from .bounds import check_enumeration_size
 
 
 def is_prime(n: int) -> bool:
@@ -227,6 +227,15 @@ class FieldDescriptor:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
+    def subfield(self, k: int) -> list[int]:
+        """The p^k elements of GF(p^k) inside this field, for k | m, as
+        ``[0, b^0, b^1, ..., b^(p^k - 2)]`` with b = g^((q-1)/(p^k-1)): the
+        subfield's units are the subgroup of GF(q)* that b generates."""
+        if k < 1 or self.m % k:
+            raise ValueError(f"GF({self.p}^{k}) is not a subfield of {self!r}")
+        exp = self._tables[0]
+        return [0, *exp[:self.q - 1:(self.q - 1) // (self.p**k - 1)]]
+
     def frobenius(self, a: int, i: int) -> int:
         """a raised to p**i (i-fold Frobenius); identity for i % m == 0."""
         if i < 0:
@@ -310,16 +319,16 @@ def field_new(p: int, m: int) -> FieldDescriptor:
 
     Raises ValueError for a p or m that is not an int (a bool is not),
     non-prime p, m < 1, or p**m over the desk bound.  The bound is read on
-    every call; only the construction is cached.
+    every call; only the construction is cached.  It is checked before
+    primality, since trial division of a huge p would not finish.
     """
-    if type(p) is not int or not is_prime(p):
+    if type(p) is not int or p < 2:
         raise ValueError(f"p must be prime, got {p!r}")
     if type(m) is not int or m < 1:
         raise ValueError(f"extension degree must be an integer >= 1, got {m!r}")
-    q = p**m
-    bound = max_q_pow()
-    if q > bound:
-        raise ValueError(f"field order {q} over the configured bound {bound}")
+    check_enumeration_size(p, m, f"GF({p}^{m})")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
     return _build_field(p, m)
 
 
@@ -327,7 +336,8 @@ def field_new(p: int, m: int) -> FieldDescriptor:
 def _build_field(p: int, m: int) -> FieldDescriptor:
     if m == 1:
         return FieldDescriptor(p, 1, (0, 1))
-    for tail in itertools.product(range(p), repeat=m):
+    # x divides every candidate with constant term 0, so start at 1
+    for tail in itertools.product(range(1, p), *[range(p)] * (m - 1)):
         candidate = tail + (1,)
         if _is_irreducible(candidate, p):
             return FieldDescriptor(p, m, candidate)

@@ -373,7 +373,7 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
 
 def enumerate_vectors(s: Subspace) -> Iterator[Vec]:
     """All q**dim vectors of the subspace, deterministically ordered."""
-    check_enumeration_size(s.field.q**s.dim, f"enumerating {s!r}")
+    check_enumeration_size(s.field.q, s.dim, f"enumerating {s!r}")
     for t in span_tuples(s.field, s.basis, s.n):
         yield Vec(s.field, t)
 

@@ -5,9 +5,10 @@ claimed subspace from its basis; minimal cover sizes are recomputed by an
 exact branch-and-bound set-cover search over projective points, pruned by
 the counting bound ceil(remaining points / points per subspace).
 
-Shared with the construction code: the ``Subspace`` type and the span
-enumerator ``linalg.span_tuples`` (with ``linalg.vec_add``), which
-``partitions.spread_partition`` also uses to list its intermediate field.
+Shared with the construction code: the ``Subspace`` type and the field
+arithmetic.  The constructions do not call the span enumerator
+``linalg.span_tuples`` (with ``linalg.vec_add``) that lists every vector
+here; they read their subfields off the field's tables.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def projective_points(f: FieldDescriptor, n: int) -> tuple[Row, ...]:
     """Canonical representatives of the lines of F^n: first nonzero
     coordinate scaled to 1, ordered by leading index then suffix."""
     q = f.q
-    expected = (q**n - 1) // (q - 1)
-    check_enumeration_size(expected, f"projective points of GF({q})^{n}")
+    size = check_enumeration_size(q, n, f"projective points of GF({q})^{n}")
+    expected = (size - 1) // (q - 1)
     pts = []
     for lead in range(n):
         for suffix in product(range(q), repeat=n - lead - 1):
@@ -87,7 +88,8 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int,
 @dataclass(frozen=True)
 class VerificationReport:
     """Exhaustive check result; ``uncovered`` and ``double_covered`` list
-    offending vectors as entry tuples."""
+    offending vectors as entry tuples.  A cover whose count differs from
+    its provenance's is not ``ok`` even with both lists empty."""
 
     ok: bool
     uncovered: tuple[Row, ...]
@@ -116,8 +118,8 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
     """Hits per vector index over every vector of every member subspace,
     saturating at 2."""
     q = f.q
-    check_enumeration_size(q**n, f"verifying a {what} of GF({q})^{n}")
-    hits = bytearray(q**n)
+    hits = bytearray(
+        check_enumeration_size(q, n, f"verifying a {what} of GF({q})^{n}"))
     weights = [q**i for i in range(n)]  # a vector's index is sum(v_i * q**i)
     for s in members:
         if s.field != f or s.n != n:
@@ -131,13 +133,15 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
 
 def verify_cover(c: Cover) -> VerificationReport:
     """Check that every nonzero vector of F^n lies in at least one cover
-    subspace, by enumerating each subspace from its basis."""
+    subspace, by enumerating each subspace from its basis, and that the
+    cover has the count its provenance steps add up to."""
     n, q = c.n, c.field.q
     hits = _hit_counts(c.field, n, c.subspaces, "cover", "subspace")
     uncovered = tuple(
         _index_vector(i, q, n) for i in range(1, q**n) if not hits[i]
     )
-    return VerificationReport(not uncovered, uncovered, (), q**n - 1)
+    ok = not uncovered and c.count == c.provenance.predicted_count
+    return VerificationReport(ok, uncovered, (), q**n - 1)
 
 
 def verify_partition(p: Partition) -> VerificationReport:
@@ -206,7 +210,7 @@ def min_cover_size(
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     q = f.q
-    check_enumeration_size(q**n, f"minimality search over GF({q})^{n}")
+    check_enumeration_size(q, n, f"minimality search over GF({q})^{n}")
     pts = projective_points(f, n)
     point_index = {pt: i for i, pt in enumerate(pts)}
     npoints = len(pts)

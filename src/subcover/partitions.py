@@ -5,8 +5,8 @@ Two constructions are provided:
 * ``spread_partition``: for d | n, the (q^n - 1)/(q^d - 1) subspaces of
   dimension d that partition F_q^n.  F_q^n is modelled as the extension
   field K = F_{q^n} under a power basis; the parts are the multiplicative
-  cosets a * F_{q^d} of the intermediate field, which is located as the
-  kernel of the F_q-linear map a -> a^(q^d) - a.
+  cosets a * F_{q^d} of the intermediate field, which K's log tables give
+  directly as 0 and the powers of g^((q^n - 1)/(q^d - 1)), g generating K*.
 
 * ``mixed_partition``: for 1 <= d <= n/2, one (n-d)-dimensional subspace
   together with q^(n-d) subspaces of dimension d.  With K = F_{q^(n-d)} and
@@ -27,8 +27,7 @@ from .linalg import (
     invert_matrix,
     json_fields,
     json_int,
-    kernel,
-    span_tuples,
+    span_tuples,  # unused; perfbench's tests read partitions.span_tuples
     subspace_from_generators,
     subspace_from_json,
     subspace_to_json,
@@ -63,52 +62,24 @@ class FieldExtension:
             raise ValueError("extension degree must be >= 1")
         self.base = base
         self.degree = degree
-        if degree == 1:
-            self.top = base
-            self._embed = None
-            self.power_basis = (1,)
-            return
-        self.top = field_new(base.p, base.m * degree)
-        top, p, m = self.top, base.p, base.m
-        big = m * degree
-        fp = field_new(p, 1)
-
-        if m == 1:
-            # prime subfield: constants embed as themselves
-            self._embed = tuple(range(p))
-            y_pows = (1,)
-        else:
-            # locate the copy of the base field inside top: kernel of the
-            # F_p-linear map a -> a^(p^m) - a, then the smallest root of the
-            # base modulus in it becomes the image of the base generator.
-            rows = []
-            for i in range(big):
-                e = p**i
-                rows.append(top.digits(top.sub(top.frobenius(e, m), e)))
-            transposed = tuple(zip(*rows))
-            subfield = kernel(fp, transposed, big)
-            if subfield.dim != m:
-                raise AssertionError("subfield location failed")
-            candidates = sorted(
-                _undigits(dig, p) for dig in span_tuples(fp, subfield.basis, big)
-            )
-            y_hat = next(a for a in candidates if _eval_poly(top, base.modulus, a) == 0)
-            y_pows = tuple(top.pow(y_hat, j) for j in range(m))
-            embed = []
-            for c in range(base.q):
-                acc = 0
-                for dj in reversed(base.digits(c)):
-                    acc = top.add(top.mul(acc, y_hat), dj)
-                embed.append(acc)
-            self._embed = tuple(embed)
-
-        g = p  # encoding of the class of x, the top field's generator
-        self.power_basis = tuple(top.pow(g, i) for i in range(degree))
-        conv_rows = []
-        for i in range(degree):
-            for j in range(m):
-                conv_rows.append(top.digits(top.mul(self.power_basis[i], y_pows[j])))
-        self._conv_inv = invert_matrix(fp, tuple(conv_rows))
+        p, m = base.p, base.m
+        self.top = top = field_new(p, m * degree)
+        # x^i, below the top field's degree, has encoding p^i
+        self.power_basis = tuple(p**i for i in range(degree))
+        # Over a prime base (constants embed as themselves) or at degree 1
+        # (top is the base) the coordinates are the top field's digits taken
+        # m at a time, so there is no embedding table or conversion matrix.
+        self._embed = self._conv_inv = None
+        if m > 1 and degree > 1:
+            # the least root of the base modulus in the copy of the base
+            # field inside top becomes the image of the base generator x
+            y = min(a for a in top.subfield(m)
+                    if _eval_poly(top, base.modulus, a) == 0)
+            self._embed = tuple(_eval_poly(top, base.digits(c), y)
+                                for c in range(base.q))
+            conv_rows = [top.digits(top.mul(b, self._embed[p**j]))
+                         for b in self.power_basis for j in range(m)]
+            self._conv_inv = invert_matrix(field_new(p, 1), conv_rows)
 
     def embed(self, c: int) -> int:
         """Image in the top field of a base-field encoding."""
@@ -116,8 +87,6 @@ class FieldExtension:
 
     def from_coords(self, coords) -> int:
         """Top-field element with the given power-basis coordinates."""
-        if self.degree == 1:
-            return coords[0]
         top = self.top
         w = 0
         for c, b in zip(coords, self.power_basis, strict=True):
@@ -127,33 +96,27 @@ class FieldExtension:
 
     def to_coords(self, w: int) -> tuple[int, ...]:
         """Power-basis coordinates (base-field encodings) of a top element."""
-        if self.degree == 1:
-            return (w,)
+        q, out = self.base.q, []
+        if self._conv_inv is None:
+            for _ in range(self.degree):
+                w, c = divmod(w, q)
+                out.append(c)
+            return tuple(out)
+        # the conversion turns w's digits into the coordinates' base-p
+        # digits, m per coordinate
         p, m = self.base.p, self.base.m
-        dig = self.top.digits(w)
-        inv = self._conv_inv
-        size = len(inv)
-        flat = [0] * size
-        for l, dl in enumerate(dig):
+        flat = [0] * len(self._conv_inv)
+        for dl, row in zip(self.top.digits(w), self._conv_inv):
             if dl:
-                row = inv[l]
-                for k in range(size):
-                    if row[k]:
-                        flat[k] = (flat[k] + dl * row[k]) % p
-        out = []
-        for i in range(self.degree):
+                for k, c in enumerate(row):
+                    if c:
+                        flat[k] = (flat[k] + dl * c) % p
+        for i in range(0, len(flat), m):
             enc = 0
-            for j in range(m - 1, -1, -1):
-                enc = enc * p + flat[i * m + j]
+            for c in reversed(flat[i:i + m]):
+                enc = enc * p + c
             out.append(enc)
         return tuple(out)
-
-
-def _undigits(digits, p: int) -> int:
-    e = 0
-    for d in reversed(digits):
-        e = e * p + d
-    return e
 
 
 def _eval_poly(f: FieldDescriptor, coeffs, a: int) -> int:
@@ -175,35 +138,19 @@ def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     if n % d != 0:
         raise ValueError(f"spread requires d | n, got d={d}, n={n}")
-    check_enumeration_size(f.q**n, f"spread_partition(q={f.q}, n={n}, d={d})")
+    size = check_enumeration_size(
+        f.q, n, f"spread_partition(q={f.q}, n={n}, d={d})")
     ext = _extension(f, n)
     top, q = ext.top, f.q
+    # GF(q^d) inside the top field is 0 and the powers of its generator b,
+    # so 1, b, ..., b^(d-1) is a basis of it over GF(q)
+    field_elems = top.subfield(f.m * d)
+    sub_elems_top = field_elems[1:d + 1]
 
-    if d == n:
-        sub_basis = tuple(
-            tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-        )
-    else:
-        # intermediate field F_{q^d} = kernel of the F_q-linear a -> a^(q^d) - a
-        qd = q**d
-        rows = []
-        for i in range(n):
-            gi = ext.power_basis[i]
-            rows.append(ext.to_coords(top.sub(top.pow(gi, qd), gi)))
-        transposed = tuple(zip(*rows))
-        sub_basis = kernel(f, transposed, n).basis
-        if len(sub_basis) != d:
-            raise AssertionError("intermediate field has wrong dimension")
-
-    sub_elems_top = [ext.from_coords(c) for c in sub_basis]
-    field_elems = [
-        ext.from_coords(c) for c in span_tuples(f, sub_basis, n)
-    ]
-
-    expected = (q**n - 1) // (q**d - 1)
-    covered = bytearray(q**n)
+    expected = (size - 1) // (q**d - 1)
+    covered = bytearray(size)
     parts = []
-    for alpha in range(1, q**n):
+    for alpha in range(1, size):
         if covered[alpha]:
             continue
         for e in field_elems:
@@ -231,7 +178,7 @@ def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     """
     if d < 1 or 2 * d > n:
         raise ValueError(f"need 1 <= d <= n/2, got d={d}, n={n}")
-    check_enumeration_size(f.q**n, f"mixed_partition(q={f.q}, n={n}, d={d})")
+    check_enumeration_size(f.q, n, f"mixed_partition(q={f.q}, n={n}, d={d})")
     ext = _extension(f, n - d)
     top, q = ext.top, f.q
     t = n - d

@@ -1,17 +1,29 @@
 """CLI surface: outputs, JSON round trips, exit codes, determinism."""
 
+import contextlib
+import copy
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcover import cli, gf
-from subcover.covers import cover_from_json
+from subcover.covers import cover_finite, cover_from_json, cover_to_json
 from subcover.linalg import enumerate_vectors
-from subcover.partitions import partition_from_json
+from subcover.partitions import (
+    mixed_partition,
+    partition_from_json,
+    partition_to_json,
+    spread_partition,
+)
 
 
 def run(capsys, *argv):
@@ -72,6 +84,37 @@ class TestCover:
     def test_bad_codim(self, capsys):
         code, _, err = run(capsys, "cover", "--p", "2", "--n", "4", "--k", "4")
         assert code == 1 and "error" in err
+
+
+# sha256 of stdout as printed, trailing newline included: one case per
+# construction path (spread over a prime and an extension base, the d == n
+# spread, mixed, peel plus tail, tail only)
+PINNED_OUTPUT = [
+    ("partition --p 2 --n 6 --d 2 --kind spread",
+     "7a2ca0ba138e38bfe85ade06655bbee6354738ff6014ceea5e6b029a3f6d200b"),
+    ("partition --p 2 --m 2 --n 3 --d 1 --kind spread",
+     "2f28c5c3e3d3c5dd31b4305308c4fcfd406d1a880b960e27fec67b82674cf476"),
+    ("partition --p 3 --m 2 --n 2 --d 1 --kind spread",
+     "b25403d62636fd53fd68aa03786764c2d02ff04bb487129e6eecb025c2abb520"),
+    ("partition --p 2 --m 2 --n 3 --d 3 --kind spread",
+     "bd92229d7f6b96eb97c578a2c59dfe1e01912ac771df489d7b636507021a9ca4"),
+    ("partition --p 5 --m 2 --n 3 --d 1 --kind mixed",
+     "0611847158683a8efcaafae8fd0c3c7d632c2aca96af1be5f0aff1ec37e27f86"),
+    ("cover --p 2 --n 9 --k 5",
+     "5371f376d4ea75d185a6a7196be83f49e1a3ad69bd192d52224279e334f244d7"),
+    ("cover --p 2 --m 2 --n 7 --k 4",
+     "67d4b924d2367cd0881e246b26215f0b29a5a358d03d8f497506e1bd0ed2041e"),
+    ("cover --p 3 --n 5 --k 2",
+     "31f9fc93a31dd4608b7a30d67256a6be691e2e5d4feaca62640fe25eafd78d15"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_OUTPUT,
+                         ids=[c for c, _ in PINNED_OUTPUT])
+def test_construction_output_is_pinned(capsys, command, digest):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPartition:
@@ -274,6 +317,120 @@ class TestVerifyCommand:
         code, out2, err = run(capsys, "verify", "--cover", str(path))
         assert code == 1 and out2 == ""
         assert err.startswith("error: ") and message in err
+
+
+    @pytest.mark.parametrize("provenance", [
+        lambda prov: prov["steps"][0].update(count=99),
+        lambda prov: prov.update(kind="peeling", steps=[]),
+    ], ids=["step-count-99", "no-steps"])
+    def test_provenance_count_mismatch_fails(self, capsys, tmp_path,
+                                             provenance):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "4", "--k", "2")
+        doc = json.loads(out)
+        provenance(doc["provenance"])
+        path = tmp_path / "miscounted.json"
+        path.write_text(json.dumps(doc))
+        code, out2, _ = run(capsys, "verify", "--cover", str(path))
+        assert code == 2
+        report = json.loads(out2)
+        assert report["ok"] is False and report["uncovered"] == []
+
+
+class TestSizeGuards:
+    """Inputs whose size is far over the bound exit 1 at once: the bound is
+    checked before a power or a primality test is computed."""
+
+    HUGE = 10**12
+
+    def verify_edited_cover(self, capsys, tmp_path, edit):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")
+        doc = json.loads(out)
+        edit(doc)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, "verify", "--cover", str(path))
+
+    def assert_rejected(self, result):
+        code, out, err = result
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "over the configured bound" in err
+
+    def test_huge_prime_in_a_field_document(self, capsys, tmp_path):
+        def edit(doc):
+            doc["ambient"]["field"]["p"] = 2**61 - 1  # a Mersenne prime
+        self.assert_rejected(self.verify_edited_cover(capsys, tmp_path, edit))
+
+    def test_huge_ambient_dimension_in_a_cover_document(self, capsys,
+                                                         tmp_path):
+        def edit(doc):
+            doc["ambient"]["n"] = self.HUGE
+            doc["subspaces"], doc["count"] = [], 0
+        self.assert_rejected(self.verify_edited_cover(capsys, tmp_path, edit))
+
+    def test_huge_extension_degree(self, capsys):
+        self.assert_rejected(run(capsys, "nu", "--p", "2", "--m",
+                                 str(self.HUGE), "--n", "3", "--k", "1"))
+
+    def test_huge_search_space(self, capsys):
+        self.assert_rejected(run(capsys, "oracle", "min", "--p", "2", "--n",
+                                 str(self.HUGE), "--k", "1"))
+
+    def test_huge_cover(self, capsys):
+        self.assert_rejected(run(capsys, "cover", "--p", "2", "--n",
+                                 str(self.HUGE), "--k", "1"))
+
+
+F2 = gf.field_new(2, 1)
+FUZZ_DOCUMENTS = [
+    ("cover", cover_to_json(cover_finite(F2, 3, 1))),
+    ("cover", cover_to_json(cover_finite(gf.field_new(3, 1), 2, 1))),
+    ("partition", partition_to_json(mixed_partition(F2, 4, 2))),
+    ("partition", partition_to_json(spread_partition(gf.field_new(2, 2), 2, 1))),
+]
+
+JSON_VALUES = st.one_of(
+    st.integers(),
+    st.sampled_from([2**61 - 1, 10**12, -(10**12), 2**100]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+def value_paths(doc, path=()):
+    """The key path of every value nested in a JSON document: each leaf
+    and each list or object below the top."""
+    if path:
+        yield path
+    if isinstance(doc, (dict, list)):
+        keys = doc if isinstance(doc, dict) else range(len(doc))
+        for key in keys:
+            yield from value_paths(doc[key], path + (key,))
+
+
+# the deadline fails an input that is slow to reject, such as a size guard
+# that computes a huge power before it compares
+@settings(max_examples=500, deadline=2000)
+@given(st.data())
+def test_verify_survives_any_value_replaced(data):
+    kind, doc = data.draw(st.sampled_from(FUZZ_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    *parents, last = data.draw(st.sampled_from(list(value_paths(doc))))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(JSON_VALUES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", f"--{kind}", path])
+    assert code in (0, 1, 2)
 
 
 class TestOracleCommand:

@@ -71,6 +71,16 @@ class TestFieldNew:
     def test_modulus_matches_brute_force_scan(self, p, m):
         assert field_new(p, m).modulus == brute_smallest_irreducible(p, m)
 
+    @pytest.mark.parametrize("p,m,modulus", [
+        (2, 20, (1,) + (0,) * 16 + (1, 0, 0, 1)),
+        (3, 10, (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)),
+        (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)),
+    ])
+    def test_large_moduli_are_unchanged(self, p, m, modulus):
+        # taken from the full lexicographic scan, which tried the p^(m-1)
+        # candidates with constant term 0 first
+        assert _build_field(p, m).modulus == modulus
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             field_new(4, 1)
@@ -329,3 +339,29 @@ class TestTables:
         assert "_tables" not in vars(f)
         assert f.mul(5, 7) == self.ref_mul(f, 5, 7)
         assert "_tables" in vars(f)
+
+
+class TestSubfield:
+    @staticmethod
+    def least_primitive(f):
+        """Smallest encoding of multiplicative order q - 1, by trial."""
+        return next(g for g in range(1, f.q)
+                    if len({f.pow(g, e) for e in range(f.q - 1)}) == f.q - 1)
+
+    @pytest.mark.parametrize("p,m,k", [
+        (2, 8, 1), (2, 8, 2), (2, 8, 4), (2, 8, 8), (3, 4, 1), (3, 4, 2),
+        (5, 2, 1),
+    ])
+    def test_elements_are_the_frobenius_fixed_points(self, p, m, k):
+        f = field_new(p, m)
+        sub = f.subfield(k)
+        assert len(sub) == len(set(sub)) == p**k
+        assert set(sub) == {a for a in range(f.q) if f.frobenius(a, k) == a}
+        assert sub[:2] == [0, 1]
+        b = f.pow(self.least_primitive(f), (f.q - 1) // (p**k - 1))
+        assert sub[1:] == [f.pow(b, j) for j in range(p**k - 1)]
+
+    @pytest.mark.parametrize("k", [0, 3, 5, -2, 16])
+    def test_rejects_a_non_divisor(self, k):
+        with pytest.raises(ValueError):
+            field_new(2, 8).subfield(k)

@@ -39,6 +39,20 @@ class TestFieldExtension:
             seen.add(w)
         assert len(seen) == base.q**deg  # the power basis really is a basis
 
+    @pytest.mark.parametrize("base,deg", [
+        (F2, 4), (F3, 3), (F2, 1), (F4, 1), (F9, 1),
+    ])
+    def test_identity_conversion_gives_the_top_digits(self, base, deg):
+        # over a prime base or at degree 1 the coordinates are the top
+        # field's base-p digits, m at a time
+        ext = FieldExtension(base, deg)
+        p, m = base.p, base.m
+        for w in range(ext.top.q):
+            digits = ext.top.digits(w)
+            assert ext.to_coords(w) == tuple(
+                sum(d * p**j for j, d in enumerate(digits[i * m:(i + 1) * m]))
+                for i in range(deg))
+
     @pytest.mark.parametrize("base,deg", [(F4, 2), (F9, 2), (F8, 2)])
     def test_embedding_is_a_ring_homomorphism(self, base, deg):
         ext = FieldExtension(base, deg)
