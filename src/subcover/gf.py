@@ -332,7 +332,14 @@ def field_new(p: int, m: int) -> FieldDescriptor:
     return _build_field(p, m)
 
 
-@lru_cache(maxsize=None)
+# Descriptors kept by ``_build_field``, each with its log/antilog tables
+# (12-16 MiB near q = 2^20) once used; partitions' extension cache holds as
+# many.  The largest perfbench pass builds 13 distinct fields, so none is
+# built twice within one.
+FIELD_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _build_field(p: int, m: int) -> FieldDescriptor:
     if m == 1:
         return FieldDescriptor(p, 1, (0, 1))

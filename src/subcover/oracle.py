@@ -3,24 +3,31 @@
 Covers and partitions are checked by enumerating every vector of every
 claimed subspace from its basis; minimal cover sizes are recomputed by an
 exact branch-and-bound set-cover search over projective points, pruned by
-the counting bound ceil(remaining points / points per subspace).
+the counting bound ceil(remaining points / points per subspace).  The
+search's point masks are not enumerated vector by vector: a point's
+position in ``projective_points`` is linear in its coordinates, so each
+candidate's point indices are a sum of per-column tables held as packed
+lanes of one int (see ``_point_masks``).
 
 Shared with the construction code: the ``Subspace`` type and the field
-arithmetic.  The constructions do not call the span enumerator
-``linalg.span_tuples`` (with ``linalg.vec_add``) that lists every vector
-here; they read their subfields off the field's tables.
+arithmetic (only ``add`` and ``mul`` in the search).  The constructions do
+not call the span enumerator ``linalg.span_tuples`` that lists every vector
+here; they read their subfields off the field's tables.  The counting
+bound is computed here, not taken from the constructions' closed form.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import mul
+from sys import byteorder
 
 from .bounds import DEFAULT_MAX_SUBSPACES, check_enumeration_size
-from .covers import Cover, minimal_cover_count
+from .covers import Cover
 from .gf import FieldDescriptor
-from .linalg import Row, Subspace, span_tuples, vec_add
+from .linalg import Row, Subspace, span_tuples
 from .partitions import Partition
 
 
@@ -160,19 +167,89 @@ def verify_partition(p: Partition) -> VerificationReport:
     return VerificationReport(ok, tuple(uncovered), tuple(doubled), q**n - 1)
 
 
-def _subspace_point_mask(s: Subspace, point_index: dict[Row, int]) -> int:
-    """Bitmask of the projective points lying in the subspace.
+def _index_weights(q: int, n: int) -> tuple[list[int], list[int]]:
+    """``(weight, shift)`` such that a normalised vector v of F^n with
+    leading index L sits at ``shift[L] + sum(weight[c] * v[c])`` in
+    ``projective_points``: the points with an earlier leading index come
+    first, then v's suffix reads as a base-q numeral (v[L] = 1 adds
+    weight[L], which ``shift[L]`` takes back)."""
+    weight = [q ** (n - 1 - c) for c in range(n)]
+    shift = [sum(weight[:lead]) - weight[lead] for lead in range(n)]
+    return weight, shift
+
+
+def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
+                 ) -> tuple[list[int], list[list[int]]]:
+    """The bitmask of the projective points in each positive-dimensional
+    candidate, and the candidates through each point in increasing order.
 
     With the basis in RREF, the first nonzero entry of sum(c_j * row_j) is
-    the first nonzero c_j, so each point is listed once, already scaled, as
-    row_i + span(rows after i).
+    the first nonzero c_j, so a d-dimensional candidate's points are listed
+    once each, already scaled, by the projective points c of F^d.  A
+    point's coordinate col is then <c, u_col>, u_col the basis column, and
+    by ``_index_weights`` its index is linear in its coordinates.  The
+    values <c, u> over all c are built once per distinct column u, as the
+    fixed-width lanes of one int, so a candidate's point indices cost one
+    multiply-add of packed ints per non-pivot column and one decode.  The
+    packing is plain integer arithmetic: a lane holding a negative shift
+    borrows from the next until the pivot columns are added, and the lane
+    width is chosen from the point count, so every finished lane holds its
+    point index in [0, npoints) exactly.
     """
-    f, rows = s.field, s.basis
-    mask = 0
-    for i, row in enumerate(rows):
-        for v in span_tuples(f, rows[i + 1:], s.n):
-            mask |= 1 << point_index[vec_add(f, row, v)]
-    return mask
+    q = f.q
+    add, mul = f.add, f.mul
+    npoints = (q**n - 1) // (q - 1)
+    code = next(c for c in "BHIQ"
+                if 8 * array(c).itemsize >= (npoints - 1).bit_length())
+    lane_bytes = array(code).itemsize
+    weight, shift = _index_weights(q, n)
+    sums: dict[Row, list[int]] = {(): [0]}
+    tables: dict[Row, int] = {}
+
+    def dots(w: Row) -> list[int]:
+        # <s, w> for every s in F^len(w), in product order
+        if w not in sums:
+            rest = dots(w[1:])
+            sums[w] = [add(m, x) for m in [mul(a, w[0]) for a in range(q)]
+                       for x in rest]
+        return sums[w]
+
+    def table(u: Row) -> int:
+        # the projective c of F^len(u) in order: leading index i, then the
+        # suffix s in product order, so <c, u> = u_i + <s, u after i>
+        if u not in tables:
+            lanes = array(code, [add(u[i], x) for i in range(len(u))
+                                 for x in dots(u[i + 1:])])
+            tables[u] = int.from_bytes(lanes.tobytes(), byteorder)
+        return tables[u]
+
+    def start(pivots: tuple[int, ...]) -> tuple[int, list[int], int]:
+        # what every candidate with these pivots shares: each lane's shift
+        # and the pivot columns, which are unit vectors
+        d = len(pivots)
+        leads = [p for i, p in enumerate(pivots) for _ in range(q**(d - 1 - i))]
+        acc = sum(shift[p] << (8 * lane_bytes * j) for j, p in enumerate(leads))
+        for j, p in enumerate(pivots):
+            acc += weight[p] * table(tuple(int(i == j) for i in range(d)))
+        free = [c for c in range(pivots[0], n) if c not in pivots]
+        return acc, free, lane_bytes * len(leads)
+
+    bit = (1).__lshift__
+    starts: dict[tuple[int, ...], tuple[int, list[int], int]] = {}
+    masks: list[int] = []
+    covering: list[list[int]] = [[] for _ in range(npoints)]
+    for i, s in enumerate(cands):
+        if s.pivots not in starts:
+            starts[s.pivots] = start(s.pivots)
+        acc, free, size = starts[s.pivots]
+        cols = list(zip(*s.basis))
+        for c in free:
+            acc += weight[c] * table(cols[c])
+        lanes = array(code, acc.to_bytes(size, byteorder))
+        masks.append(sum(map(bit, lanes)))
+        for j in lanes:
+            covering[j].append(i)
+    return masks, covering
 
 
 def _greedy_cover_size(masks: list[int], full: int) -> int:
@@ -202,30 +279,25 @@ def min_cover_size(
 
     Depth-first branch and bound over projective points: branch on the
     uncovered point contained in the fewest candidate subspaces, prune with
-    the counting bound ceil(remaining / points_per_subspace).  The search
-    admits solutions up to ``upper_hint`` (default: the closed-form count);
-    if no cover that small exists it reruns against a greedy upper bound,
-    so the result never presupposes the hint is attainable.
+    the counting bound ceil(remaining / points_per_subspace).  Candidates
+    come from ``enumerate_subspaces``; their point bitmasks, and the
+    candidates through each point, from ``_point_masks``, which reads each
+    candidate's point indices off packed per-column tables.  The search
+    admits solutions up to ``upper_hint`` (default: the counting bound
+    ceil(points / points_per_subspace), which equals the closed form); if
+    no cover that small exists it reruns against a greedy upper bound, so
+    the result never presupposes the hint is attainable.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     q = f.q
     check_enumeration_size(q, n, f"minimality search over GF({q})^{n}")
-    pts = projective_points(f, n)
-    point_index = {pt: i for i, pt in enumerate(pts)}
-    npoints = len(pts)
-    full = (1 << npoints) - 1
     cands = enumerate_subspaces(f, n, n - k, max_count=max_subspaces)
-    masks = [_subspace_point_mask(s, point_index) for s in cands]
+    masks, covering = _point_masks(f, n, cands)
+    npoints = len(covering)
+    full = (1 << npoints) - 1
     pts_per = (q ** (n - k) - 1) // (q - 1)
-
-    # the candidates through each point, and how many, for the branching
-    covering: list[list[int]] = [[] for _ in range(npoints)]
-    for i, m in enumerate(masks):
-        while m:
-            low = m & -m
-            covering[low.bit_length() - 1].append(i)
-            m ^= low
+    # how many candidates pass through each point, for the branching
     frequency = [len(c) for c in covering]
 
     def search(limit: int) -> int | None:
@@ -260,7 +332,7 @@ def min_cover_size(
         dfs(0, 0)
         return best
 
-    hint = upper_hint if upper_hint is not None else minimal_cover_count(q, n, k)
+    hint = upper_hint if upper_hint is not None else -(-npoints // pts_per)
     best = search(hint)
     if best is None:
         best = search(_greedy_cover_size(masks, full))

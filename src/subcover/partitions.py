@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import check_enumeration_size
-from .gf import FieldDescriptor, field_from_json, field_new, field_to_json
+from .gf import (FIELD_CACHE_SIZE, FieldDescriptor, field_from_json,
+                 field_new, field_to_json)
 from .linalg import (
     Subspace,
     invert_matrix,
@@ -127,7 +128,7 @@ def _eval_poly(f: FieldDescriptor, coeffs, a: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FIELD_CACHE_SIZE)  # each holds its top field
 def _extension(base: FieldDescriptor, degree: int) -> FieldExtension:
     return FieldExtension(base, degree)
 

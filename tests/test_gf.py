@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcover.gf import (
+    FIELD_CACHE_SIZE,
     FieldElem,
     _build_field,
     arith,
@@ -97,6 +98,17 @@ class TestFieldNew:
         with pytest.raises(ValueError):
             field_new(2, 11)
         assert field_new(2, 10).q == 1024
+
+    def test_field_cache_is_bounded(self):
+        fields = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 7)]
+        assert len(fields) > FIELD_CACHE_SIZE
+        built = [field_new(p, m) for p, m in fields]
+        info = _build_field.cache_info()
+        assert info.maxsize == FIELD_CACHE_SIZE
+        assert info.currsize <= FIELD_CACHE_SIZE
+        # an evicted field is rebuilt equal to its first build
+        again = field_new(*fields[0])
+        assert again == built[0] and again.mul(1, 1) == 1
 
     def test_is_prime(self):
         primes = [n for n in range(2, 60) if is_prime(n)]

@@ -8,9 +8,15 @@ import pytest
 
 from subcover.covers import Cover, cover_finite, minimal_cover_count
 from subcover.gf import field_new
-from subcover.linalg import contains, enumerate_vectors, full_subspace
+from subcover.linalg import (
+    contains,
+    enumerate_vectors,
+    full_subspace,
+    subspace_from_generators,
+)
 from subcover.oracle import (
-    _subspace_point_mask,
+    _index_weights,
+    _point_masks,
     enumerate_subspaces,
     gaussian_binomial,
     min_cover_size,
@@ -147,16 +153,53 @@ class TestVerify:
         assert doc["ok"] is True and doc["checked"] == 3
 
 
-@pytest.mark.parametrize("f,n", [
+MASK_SPACES = [
     (F2, 4), (F3, 3), (field_new(2, 2), 3), (field_new(5, 1), 3),
+    (F2, 5), (field_new(7, 1), 3), (field_new(2, 3), 3), (field_new(3, 2), 3),
+]
+
+
+@pytest.mark.parametrize("f,n,d", [
+    pytest.param(f, n, d, id=f"{d}-f{i}-{n}")
+    for i, (f, n) in enumerate(MASK_SPACES) for d in range(1, n)
 ])
-@pytest.mark.parametrize("d", [1, 2])
 def test_point_mask_matches_membership(f, n, d):
     pts = projective_points(f, n)
-    point_index = {pt: i for i, pt in enumerate(pts)}
-    for s in enumerate_subspaces(f, n, d):
+    subs = enumerate_subspaces(f, n, d)
+    masks, covering = _point_masks(f, n, subs)
+    for s, mask in zip(subs, masks):
         want = sum(1 << i for i, pt in enumerate(pts) if contains(s, pt))
-        assert _subspace_point_mask(s, point_index) == want
+        assert mask == want
+    assert covering == [[i for i, m in enumerate(masks) if m >> j & 1]
+                        for j in range(len(pts))]
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
+def test_point_index_is_position_in_projective_points(p, m, n):
+    f = field_new(p, m)
+    weight, shift = _index_weights(f.q, n)
+    for pos, pt in enumerate(projective_points(f, n)):
+        lead = next(i for i, x in enumerate(pt) if x)
+        assert shift[lead] + sum(w * x for w, x in zip(weight, pt)) == pos
+
+
+def test_point_masks_with_lanes_wider_than_16_bits():
+    # GF(2)^17 has 131071 points, so a point index needs 17 bits; points
+    # with leading index 0 sit below 2^16, all others above
+    n = 17
+    rng = random.Random(17)
+    gens = [[(1,) + (0,) * 16], [(0,) * 16 + (1,)], [(0,) * 16 + (1,), (1,) * 17]]
+    gens += [[tuple(rng.randrange(2) for _ in range(n))] for _ in range(4)]
+    gens += [[tuple(rng.randrange(2) for _ in range(n)) for _ in range(2)]]
+    subs = [subspace_from_generators(F2, n, g) for g in gens]
+    pts = projective_points(F2, n)
+    masks, covering = _point_masks(F2, n, subs)
+    assert len(covering) == len(pts) == 2**n - 1
+    for i, (s, mask) in enumerate(zip(subs, masks)):
+        on = [j for j, b in enumerate(reversed(bin(mask))) if b == "1"]
+        assert len(on) == 2**s.dim - 1
+        assert all(contains(s, pts[j]) and i in covering[j] for j in on)
+    assert max(masks).bit_length() > 2**16
 
 
 class TestMinCoverSize:

@@ -4,11 +4,12 @@ import itertools
 
 import pytest
 
-from subcover.gf import field_new
+from subcover.gf import FIELD_CACHE_SIZE, field_new, is_prime
 from subcover.linalg import intersect, vec_scale
 from subcover.oracle import verify_partition
 from subcover.partitions import (
     FieldExtension,
+    _extension,
     mixed_partition,
     partition_from_json,
     partition_to_json,
@@ -115,6 +116,14 @@ class TestSpread:
 
     def test_deterministic(self):
         assert spread_partition(F3, 4, 2) == spread_partition(F3, 4, 2)
+
+    def test_extension_cache_is_bounded(self):
+        # each cached extension keeps its top field and that field's tables
+        primes = [p for p in range(2, 80) if is_prime(p)]
+        assert len(primes) > FIELD_CACHE_SIZE
+        for p in primes:
+            assert len(spread_partition(field_new(p, 1), 2, 1).parts) == p + 1
+        assert _extension.cache_info().currsize <= FIELD_CACHE_SIZE
 
 
 class TestMixed:
