@@ -141,17 +141,6 @@ def cardinality_to_json(c: CoverCardinality) -> dict:
     return doc
 
 
-def cardinality_from_json(doc: dict) -> CoverCardinality:
-    kind = doc.get("kind")
-    if kind == FINITE:
-        return CoverCardinality.finite(doc["count"])
-    if kind == COUNTABLY_INFINITE:
-        return CoverCardinality.countably_infinite()
-    if kind == FIELD_POWER_PLUS_POINT:
-        return CoverCardinality.field_power_plus_point(doc["k"])
-    raise ValueError(f"unknown cardinality kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # the q -> 1 limit
 # ---------------------------------------------------------------------------
@@ -438,15 +427,6 @@ def projective_index_to_json(x: ProjectiveIndex) -> dict:
         "i": x.i,
         "tail": [f"{t.numerator}/{t.denominator}" for t in x.tail],
     }
-
-
-def projective_index_from_json(doc: dict) -> ProjectiveIndex:
-    i, tail = json_fields(doc, "projective index", "i", "tail")
-    if not isinstance(tail, list) or not all(isinstance(t, str) for t in tail):
-        raise ValueError("malformed projective index document: tail must be "
-                         "a list of rational strings")
-    return ProjectiveIndex(json_int(i, "projective index i", 0),
-                           tuple(Fraction(t) for t in tail))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ through hashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 from .bounds import check_enumeration_size
@@ -347,28 +348,76 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
     coefficient tuples (c_0, c_1, ...) in lexicographic order over the
     canonical field order (first coefficient slowest).
 
-    The span of the last rows is built once by doubling, as long as it stays
-    within SPAN_BLOCK vectors; each combination of the remaining head
-    coefficients is summed once and added to every one of those tail
-    vectors.  Memory is bounded whatever the span's dimension: the q scaled
-    copies of each row plus at most SPAN_BLOCK tail vectors.
+    The span of the last rows, the tail block, is built once as ``width``
+    columns, as long as it stays within SPAN_BLOCK vectors.  Column j of the
+    span of rows r_0.., with entries u = (r_0[j], ...), is the column of
+    u[1:] shifted by each of the q multiples of u[0], joined; equal column
+    vectors, common in reduced bases, are built once.  Each combination of
+    the remaining head coefficients is summed once, the tail columns are
+    shifted by its coordinates, and the vectors are read off the columns
+    with ``zip``.  While q <= 256 a column is ``bytes`` and a shift is one
+    ``bytes.translate`` through the field's ``byte_tables``, so the tail
+    holds at most SPAN_BLOCK * width bytes, and building or shifting it as
+    much again; above, a column is a list shifted by the field's ``add``.
+    Besides the tail, memory holds the q multiples of each head row.
     """
-    add = f.add
-    scaled = [[vec_scale(f, c, row) for c in range(f.q)] for row in rows]
-    tail = [(0,) * width]
-    split = len(rows)
-    while split and len(tail) * f.q <= SPAN_BLOCK:
-        split -= 1
-        tail = [tuple(map(add, rc, v)) for rc in scaled[split] for v in tail]
-    if not split:
-        yield from tail
+    q = f.q
+    if not width:  # zip of no columns would yield nothing
+        yield from repeat((), q**len(rows))
         return
-    for combo in product(*scaled[:split]):
+    tables = f.byte_tables
+    if tables is None:
+        add, mul = f.add, f.mul
+        zero = [0]
+
+        def multiples(x):
+            return [mul(c, x) for c in range(q)]
+
+        def spread(col, shifts):
+            return [add(a, y) for a in shifts for y in col]
+
+        def shift(col, a):
+            return [add(a, y) for y in col]
+
+        def plus(u, v):
+            return list(map(add, u, v))
+    else:
+        adds, muls = tables
+        zero = b"\0"
+
+        def multiples(x):
+            return muls[x][:q]
+
+        def spread(col, shifts):
+            return b"".join(map(col.translate, map(adds.__getitem__, shifts)))
+
+        def shift(col, a):
+            return col.translate(adds[a])
+
+        def plus(u, v):
+            return bytes(map(getitem, map(adds.__getitem__, u), v))
+
+    split, size = len(rows), 1
+    while split and size * q <= SPAN_BLOCK:
+        split, size = split - 1, size * q
+    built = {(): zero}
+
+    def column(u):
+        if u not in built:
+            built[u] = spread(column(u[1:]), multiples(u[0]))
+        return built[u]
+
+    cols = [column(u) for u in list(zip(*rows[split:])) or [()] * width]
+    del built  # the shorter columns are not needed while yielding
+    if not split:
+        yield from zip(*cols)
+        return
+    scaled = [list(zip(*map(multiples, row))) for row in rows[:split]]
+    for combo in product(*scaled):
         head = combo[0]
         for rc in combo[1:]:
-            head = tuple(map(add, head, rc))
-        for v in tail:
-            yield tuple(map(add, head, v))
+            head = plus(head, rc)
+        yield from zip(*map(shift, cols, head))
 
 
 def enumerate_vectors(s: Subspace) -> Iterator[Vec]:

@@ -10,17 +10,20 @@ candidate's point indices are a sum of per-column tables held as packed
 lanes of one int (see ``_point_masks``).
 
 Shared with the construction code: the ``Subspace`` type and the field
-arithmetic (only ``add`` and ``mul`` in the search).  The constructions do
-not call the span enumerator ``linalg.span_tuples`` that lists every vector
-here; they read their subfields off the field's tables.  The counting
-bound is computed here, not taken from the constructions' closed form.
+descriptor, whose ``add`` and ``mul`` the search calls and whose
+``byte_tables`` (one ``bytes.translate`` table per element for addition
+and for multiplication, q <= 256) the span enumerator
+``linalg.span_tuples`` reads to list every vector here.  The constructions
+do not call ``span_tuples``; they read their subfields off the field's
+log/antilog tables.  The counting bound is computed here, not taken from
+the constructions' closed form.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import mul
 from sys import byteorder
 
@@ -131,8 +134,8 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
     for s in members:
         if s.field != f or s.n != n:
             raise ValueError(f"{what} {member} in wrong ambient space")
-        for v in span_tuples(f, s.basis, n):
-            i = sum(map(mul, v, weights))
+        vecs = span_tuples(f, s.basis, n)
+        for i in map(sum, map(map, repeat(mul), vecs, repeat(weights))):
             if hits[i] < 2:
                 hits[i] += 1
     return hits

@@ -85,6 +85,16 @@ class TestCover:
         code, _, err = run(capsys, "cover", "--p", "2", "--n", "4", "--k", "4")
         assert code == 1 and "error" in err
 
+    def test_verified_lines_over_gf257(self, capsys):
+        # q > 256: verification walks list columns, not byte tables
+        code, out, _ = run(capsys, "cover", "--p", "257", "--n", "2",
+                           "--k", "1", "--verify")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == 258
+        assert doc["verification"] == {"ok": True, "uncovered": [],
+                                       "double_covered": [], "checked": 66048}
+
 
 # sha256 of stdout as printed, trailing newline included: one case per
 # construction path (spread over a prime and an extension base, the d == n
@@ -160,6 +170,22 @@ class TestVerifyCommand:
         report = json.loads(out2)
         assert report["ok"] is False
         assert len(report["uncovered"]) == 2  # q - 1 vectors of the lost line
+
+    def test_gf257_cover_without_a_line_exits_2(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "cover", "--p", "257", "--n", "2", "--k", "1")
+        doc = json.loads(out)
+        lost = doc["subspaces"].pop(100)["basis"][0]
+        doc["count"] -= 1
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        code, out2, _ = run(capsys, "verify", "--cover", str(path))
+        assert code == 2
+        report = json.loads(out2)
+        assert report["ok"] is False and report["checked"] == 66048
+        # the q - 1 nonzero multiples of the lost line
+        f = gf.field_new(257, 1)
+        assert sorted(report["uncovered"]) == sorted(
+            [f.mul(c, x) for x in lost] for c in range(1, 257))
 
     def test_partition_file(self, capsys, tmp_path):
         _, out, _ = run(capsys, "partition", "--p", "2", "--n", "4",

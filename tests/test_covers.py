@@ -13,8 +13,6 @@ from subcover.covers import (
     CoverCardinality,
     ProjectiveIndex,
     SpaceSpec,
-    cardinality_from_json,
-    cardinality_to_json,
     countable_cover_index,
     cover_finite,
     cover_from_json,
@@ -27,8 +25,6 @@ from subcover.covers import (
     minimal_cover_count,
     nu,
     projective_assign,
-    projective_index_from_json,
-    projective_index_to_json,
 )
 from subcover.gf import field_new
 from subcover.linalg import quotient, subspace_from_generators, zero_subspace
@@ -86,14 +82,6 @@ class TestNu:
             CoverCardinality.finite(1)
         with pytest.raises(ValueError):
             CoverCardinality.field_power_plus_point(0)
-
-    def test_cardinality_json_round_trip(self):
-        for card in (
-            CoverCardinality.finite(43),
-            CoverCardinality.countably_infinite(),
-            CoverCardinality.field_power_plus_point(2),
-        ):
-            assert cardinality_from_json(cardinality_to_json(card)) == card
 
 
 class TestF1Limit:
@@ -342,10 +330,6 @@ class TestProjectiveAssign:
             projective_assign((1, 2, 3), (0,))
         with pytest.raises(ValueError):
             projective_assign((1, 2, 3), (0, 1), rest=(1, 2))
-
-    def test_index_json_round_trip(self):
-        x = ProjectiveIndex(1, (Fraction(7, 5), Fraction(-3)))
-        assert projective_index_from_json(projective_index_to_json(x)) == x
 
 
 class TestCountableCover:

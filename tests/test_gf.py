@@ -341,6 +341,23 @@ class TestTables:
                 assert f.pow(a, -e) == self.ref_pow(f, inv, e)
                 assert f.div(b, a) == self.ref_mul(f, b, inv)
 
+    # GF(2^8) is the largest field with byte tables
+    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (251, 1),
+                                     (2, 8)])
+    def test_byte_tables_match_add_and_mul(self, p, m):
+        f = field_new(p, m)
+        adds, muls = f.byte_tables
+        assert len(adds) == len(muls) == f.q
+        for a in range(f.q):
+            assert len(adds[a]) == len(muls[a]) == 256
+            assert list(adds[a][:f.q]) == [f.add(a, x) for x in range(f.q)]
+            assert list(muls[a][:f.q]) == [f.mul(a, x) for x in range(f.q)]
+            assert not any(adds[a][f.q:]) and not any(muls[a][f.q:])
+
+    @pytest.mark.parametrize("p,m", [(257, 1), (2, 9)])
+    def test_no_byte_tables_above_256_elements(self, p, m):
+        assert field_new(p, m).byte_tables is None
+
     def test_tables_are_built_on_first_multiplication(self):
         _build_field.cache_clear()
         f = field_new(3, 4)

@@ -298,10 +298,13 @@ class TestSpanTuples:
     # q**(n-1) exceeds SPAN_BLOCK for GF(2)^14, GF(3)^9 and GF(9)^5, so
     # their largest spans are walked as head combinations over a tail block;
     # a block of 8 makes most spans sum several head rows, and leaves
-    # GF(2^8) with no tail rows at all
+    # GF(2^8), GF(2^9) and GF(257) with no tail rows at all.  Above 256
+    # elements the columns are lists, not bytes; GF(257)^3 sums two head
+    # rows of them.
     @pytest.mark.parametrize("block", [linalg.SPAN_BLOCK, 8])
     @pytest.mark.parametrize("p,m,n", [
         (2, 1, 14), (2, 2, 6), (3, 1, 9), (3, 2, 5), (5, 1, 5), (2, 8, 2),
+        (2, 9, 2), (257, 1, 2), (257, 1, 3),
     ])
     def test_matches_linear_combinations_in_order(self, p, m, n, block,
                                                   monkeypatch):
@@ -317,6 +320,20 @@ class TestSpanTuples:
             want = [linear_combination(f, c, s.basis) if s.basis else (0,) * n
                     for c in product(range(f.q), repeat=dim)]
             assert list(span_tuples(f, s.basis, n)) == want
+
+    def test_list_columns_over_two_tail_rows(self, monkeypatch):
+        # a default block holds one tail row above 256 elements, so only a
+        # larger one joins list columns longer than one entry
+        monkeypatch.setattr(linalg, "SPAN_BLOCK", 257**2)
+        f = field_new(257, 1)
+        rows = [(1, 0, 5), (0, 1, 7)]
+        want = [linear_combination(f, c, rows)
+                for c in product(range(f.q), repeat=2)]
+        assert list(span_tuples(f, rows, 3)) == want
+
+    def test_zero_width(self):
+        assert list(span_tuples(F3, [], 0)) == [()]
+        assert list(span_tuples(F3, [(), ()], 0)) == [()] * 9
 
     def test_memory_stays_bounded(self):
         s = full_subspace(F2, 20)
