@@ -19,13 +19,11 @@ from .covers import (
     nu,
     projective_assign,
 )
-from .gf import FieldDescriptor, FieldElem, arith, enumerate_field, field_new, frobenius
+from .gf import FieldDescriptor, field_new
 from .linalg import (
     LinearQuotient,
     Subspace,
-    Vec,
     contains,
-    enumerate_vectors,
     intersect,
     lift,
     project,
@@ -50,26 +48,20 @@ __all__ = [
     "Cover",
     "CoverCardinality",
     "FieldDescriptor",
-    "FieldElem",
     "LinearQuotient",
     "Partition",
     "ProjectiveIndex",
     "SpaceSpec",
     "Subspace",
-    "Vec",
     "VerificationReport",
-    "arith",
     "contains",
     "countable_cover_index",
     "cover_finite",
     "cover_plan",
-    "enumerate_field",
     "enumerate_subspaces",
-    "enumerate_vectors",
     "f1_cover_number",
     "f1_limit_value",
     "field_new",
-    "frobenius",
     "gaussian_binomial",
     "intersect",
     "lift",

@@ -334,6 +334,26 @@ def lift_cover(q: LinearQuotient, c: Cover) -> Cover:
     return Cover(q.field, q.ambient_dim, c.codim, lifted, prov)
 
 
+def follows_plan(c: Cover) -> bool:
+    """Whether the cover's count and provenance are those of its plan: a
+    lifted cover's leading "lift" steps each map the current ambient space
+    to a quotient as ``lift_cover`` does, and the steps after them are the
+    quotient's plan; any other provenance equals ``cover_plan``."""
+    prov, n, k = c.provenance, c.n, c.codim
+    steps, lifted = prov.steps, prov.kind == "lifted"
+    while lifted and steps and steps[0].kind == "lift":
+        s = steps[0]
+        if s != PlanStep("lift", n, n - k, c.count, s.kernel_dim,
+                         n - s.kernel_dim):
+            return False
+        n, steps = s.quotient_dim, steps[1:]
+    if not 1 <= k < n or (lifted and len(steps) == len(prov.steps)):
+        return False
+    plan = cover_plan(c.field.q, n, k)
+    return (c.count == prov.predicted_count and steps == plan.steps
+            and (lifted or prov.kind == plan.kind))
+
+
 # ---------------------------------------------------------------------------
 # infinite fields: projective assignment over exact rationals
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ coefficient tuples with the constant term first.  Every element also has a
 canonical integer encoding enc(a) = sum(coeffs[i] * p**i), a bijection onto
 [0, q) that fixes serialization and enumeration order.  The descriptor's
 arithmetic methods (`add`, `mul`, ...) work directly on these integer
-encodings; `FieldElem` is the wrapped value type with operator support.
+encodings, which are the only form of an element the package uses.
 
 Every (p, m) takes one table-driven path.  On its first arithmetic call a
 descriptor builds log/antilog tables to the base of its least primitive
-element g (smallest encoding), so mul, div, inv, pow, frobenius and neg
-are lookups.  Addition is XOR of encodings in characteristic 2 and uses
-Zech logarithms for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n).
+element g (smallest encoding), so mul, div, inv, pow and neg are lookups.
+Addition is XOR of encodings in characteristic 2 and uses Zech logarithms
+for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n).
 While q <= 256, ``byte_tables`` also gives addition and multiplication by
 each element as ``bytes.translate`` tables, for whole columns at a time.
 
@@ -29,7 +29,6 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import isqrt
-from typing import Iterator
 
 from .bounds import check_enumeration_size
 
@@ -175,13 +174,14 @@ class FieldDescriptor:
         g_r = sum(map(operator.mul, _poly_pow(step, r, modulus, p), weights))
         log_h = r * pow(powers_of_h.index(g_r), -1, k)
         exp, log = array(code, [0]) * (2 * n), array(code, [0]) * q
+        g_s = (1,)
         for s in range(r):
-            g_s = _poly_pow(step, s, modulus, p)
             i = s  # the log of g^s h^j for j = 0, 1, ...
             for e in orbit(sum(map(operator.mul, g_s, weights))):
                 exp[i] = exp[i + n] = e
                 log[e] = i
                 i = (i + log_h) % n
+            g_s = _poly_rem(_poly_mul(g_s, step, p), modulus, p)
         zech = array(code, () if p == 2 else
                      (log[e - e % p + (e + 1) % p]
                       for e in itertools.islice(exp, n)))
@@ -266,83 +266,6 @@ class FieldDescriptor:
         exp = self._tables[0]
         return [0, *exp[:self.q - 1:(self.q - 1) // (self.p**k - 1)]]
 
-    def frobenius(self, a: int, i: int) -> int:
-        """a raised to p**i (i-fold Frobenius); identity for i % m == 0."""
-        if i < 0:
-            raise ValueError("frobenius power must be non-negative")
-        return self.pow(a, self.p ** (i % self.m))
-
-    # -- element construction -----------------------------------------------
-
-    def elem(self, e: int) -> "FieldElem":
-        """Element with canonical encoding ``e``."""
-        if not 0 <= e < self.q:
-            raise ValueError(f"encoding {e} out of range for {self!r}")
-        return FieldElem(self, self.digits(e))
-
-    @property
-    def zero(self) -> "FieldElem":
-        return self.elem(0)
-
-    @property
-    def one(self) -> "FieldElem":
-        return self.elem(1)
-
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A field element: length-m coefficient tuple plus its descriptor."""
-
-    field: FieldDescriptor
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.field.m:
-            raise ValueError("coefficient vector has wrong length")
-        if any(not 0 <= c < self.field.p for c in self.coeffs):
-            raise ValueError("coefficient out of range")
-
-    @property
-    def enc(self) -> int:
-        e = 0
-        for c in reversed(self.coeffs):
-            e = e * self.field.p + c
-        return e
-
-    def _check(self, other: "FieldElem") -> None:
-        if not isinstance(other, FieldElem):
-            raise TypeError("expected a FieldElem")
-        if other.field != self.field:
-            raise ValueError("field mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return self.field.elem(self.field.add(self.enc, other.enc))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self.field.elem(self.field.sub(self.enc, other.enc))
-
-    def __mul__(self, other):
-        self._check(other)
-        return self.field.elem(self.field.mul(self.enc, other.enc))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return self.field.elem(self.field.div(self.enc, other.enc))
-
-    def __neg__(self):
-        return self.field.elem(self.field.neg(self.enc))
-
-    def __pow__(self, e: int):
-        return self.field.elem(self.field.pow(self.enc, e))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        return f"{self.field!r}:{self.enc}"
-
 
 def field_new(p: int, m: int) -> FieldDescriptor:
     """Construct GF(p^m) with the deterministic smallest irreducible modulus.
@@ -379,29 +302,6 @@ def _build_field(p: int, m: int) -> FieldDescriptor:
         if _is_irreducible(candidate, p):
             return FieldDescriptor(p, m, candidate)
     raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-_ARITH_OPS = {"add", "sub", "mul", "div"}
-
-
-def arith(op: str, a: FieldElem, b: FieldElem) -> FieldElem:
-    """Dispatch one of {add, sub, mul, div} on two elements of one field."""
-    if op not in _ARITH_OPS:
-        raise ValueError(f"unknown operation {op!r}")
-    if a.field != b.field:
-        raise ValueError("field mismatch")
-    return a.field.elem(getattr(a.field, op)(a.enc, b.enc))
-
-
-def frobenius(a: FieldElem, i: int) -> FieldElem:
-    """a**(p**i)."""
-    return a.field.elem(a.field.frobenius(a.enc, i))
-
-
-def enumerate_field(f: FieldDescriptor) -> Iterator[FieldElem]:
-    """All q elements in increasing canonical integer encoding."""
-    for e in range(f.q):
-        yield f.elem(e)
 
 
 def field_to_json(f: FieldDescriptor) -> dict:

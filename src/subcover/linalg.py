@@ -1,9 +1,9 @@
 """Vectors, matrices and subspaces over GF(q).
 
-Vectors and matrix rows are tuples of canonical integer encodings (see
-``gf``).  A subspace is always held in reduced row-echelon form, which makes
-set equality a plain tuple comparison and lets subspaces be deduplicated
-through hashing.
+Vectors and matrix rows are plain tuples of canonical integer encodings
+(see ``gf``); there is no wrapped vector type.  A subspace is always held
+in reduced row-echelon form, which makes set equality a plain tuple
+comparison and lets subspaces be deduplicated through hashing.
 """
 
 from __future__ import annotations
@@ -13,49 +13,9 @@ from itertools import product, repeat
 from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
-from .bounds import check_enumeration_size
 from .gf import FieldDescriptor, field_from_json, field_to_json
 
 Row = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Vec:
-    """A vector of F^n, entries as canonical integer encodings."""
-
-    field: FieldDescriptor
-    entries: Row
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        q = self.field.q
-        if any(not 0 <= e < q for e in self.entries):
-            raise ValueError("entry encoding out of range")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def __add__(self, other: "Vec") -> "Vec":
-        if other.field != self.field or other.n != self.n:
-            raise ValueError("vector mismatch")
-        return Vec(self.field, vec_add(self.field, self.entries, other.entries))
-
-    def scale(self, c: int) -> "Vec":
-        return Vec(self.field, vec_scale(self.field, c, self.entries))
-
-
-def vec_add(f: FieldDescriptor, u: Sequence[int], v: Sequence[int]) -> Row:
-    add = f.add
-    return tuple(add(a, b) for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(f: FieldDescriptor, c: int, u: Sequence[int]) -> Row:
-    mul = f.mul
-    return tuple(mul(c, a) for a in u)
 
 
 def linear_combination(f: FieldDescriptor, coeffs: Sequence[int],
@@ -150,14 +110,12 @@ def _pivots_of_rref(basis: Sequence[Row]) -> tuple[int, ...]:
 
 
 def subspace_from_generators(f: FieldDescriptor, n: int,
-                             vectors: Iterable[Sequence[int] | Vec]) -> Subspace:
+                             vectors: Iterable[Sequence[int]]) -> Subspace:
     """Canonical subspace equal to the span of the generators."""
-    rows = []
-    for v in vectors:
-        entries = v.entries if isinstance(v, Vec) else tuple(v)
-        if len(entries) != n:
-            raise ValueError(f"generator has length {len(entries)}, ambient is {n}")
-        rows.append(entries)
+    rows = [tuple(v) for v in vectors]
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"generator has length {len(row)}, ambient is {n}")
     reduced, rank = rref(f, rows)
     basis = reduced[:rank]
     return Subspace(f, n, basis, _pivots_of_rref(basis))
@@ -200,28 +158,19 @@ def full_subspace(f: FieldDescriptor, n: int) -> Subspace:
     return Subspace(f, n, rows, tuple(range(n)))
 
 
-def _residual(s: Subspace, entries: Row) -> Row:
-    """Reduce a vector against the RREF basis; zero iff the vector is in s."""
-    f = s.field
-    sub, mul = f.sub, f.mul
-    v = list(entries)
+def contains(s: Subspace, v: Sequence[int]) -> bool:
+    """Membership test: v reduced against the canonical basis is zero."""
+    if len(v) != s.n:
+        raise ValueError("dimension mismatch")
+    sub, mul = s.field.sub, s.field.mul
+    v = list(v)
     for row, pc in zip(s.basis, s.pivots):
         c = v[pc]
         if c:
             for j in range(pc, s.n):
                 if row[j]:
                     v[j] = sub(v[j], mul(c, row[j]))
-    return tuple(v)
-
-
-def contains(s: Subspace, v: Vec | Sequence[int]) -> bool:
-    """Membership test by reduction against the canonical basis."""
-    entries = v.entries if isinstance(v, Vec) else tuple(v)
-    if len(entries) != s.n:
-        raise ValueError("dimension mismatch")
-    if isinstance(v, Vec) and v.field != s.field:
-        raise ValueError("field mismatch")
-    return not any(_residual(s, entries))
+    return not any(v)
 
 
 def kernel(f: FieldDescriptor, rows: Sequence[Row], n: int) -> Subspace:
@@ -308,21 +257,20 @@ def quotient(v0: Subspace) -> LinearQuotient:
     return LinearQuotient(v0, coords, tuple(rows))
 
 
-def project(q: LinearQuotient, v: Vec | Sequence[int]) -> Vec:
+def project(q: LinearQuotient, v: Sequence[int]) -> Row:
     """Image of v in the quotient coordinates F^t."""
-    entries = v.entries if isinstance(v, Vec) else tuple(v)
-    if len(entries) != q.ambient_dim:
+    if len(v) != q.ambient_dim:
         raise ValueError("dimension mismatch")
     f = q.field
     add, mul = f.add, f.mul
     out = []
     for row in q.coordinate_map:
         acc = 0
-        for a, b in zip(row, entries):
+        for a, b in zip(row, v):
             if a and b:
                 acc = add(acc, mul(a, b))
         out.append(acc)
-    return Vec(f, tuple(out))
+    return tuple(out)
 
 
 def lift(q: LinearQuotient, s_bar: Subspace) -> Subspace:
@@ -418,13 +366,6 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
         for rc in combo[1:]:
             head = plus(head, rc)
         yield from zip(*map(shift, cols, head))
-
-
-def enumerate_vectors(s: Subspace) -> Iterator[Vec]:
-    """All q**dim vectors of the subspace, deterministically ordered."""
-    check_enumeration_size(s.field.q, s.dim, f"enumerating {s!r}")
-    for t in span_tuples(s.field, s.basis, s.n):
-        yield Vec(s.field, t)
 
 
 def invert_matrix(f: FieldDescriptor, rows: Sequence[Row]) -> tuple[Row, ...]:

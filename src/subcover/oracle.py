@@ -16,7 +16,8 @@ and for multiplication, q <= 256) the span enumerator
 ``linalg.span_tuples`` reads to list every vector here.  The constructions
 do not call ``span_tuples``; they read their subfields off the field's
 log/antilog tables.  The counting bound is computed here, not taken from
-the constructions' closed form.
+the constructions' closed form; only the check that a cover's provenance
+is its plan (``covers.follows_plan``) reads ``cover_plan``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import mul
 from sys import byteorder
 
 from .bounds import DEFAULT_MAX_SUBSPACES, check_enumeration_size
-from .covers import Cover
+from .covers import Cover, follows_plan
 from .gf import FieldDescriptor
 from .linalg import Row, Subspace, span_tuples
 from .partitions import Partition
@@ -99,7 +100,8 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int,
 class VerificationReport:
     """Exhaustive check result; ``uncovered`` and ``double_covered`` list
     offending vectors as entry tuples.  A cover whose count differs from
-    its provenance's is not ``ok`` even with both lists empty."""
+    its provenance's, or whose provenance is not its plan, is not ``ok``
+    even with both lists empty."""
 
     ok: bool
     uncovered: tuple[Row, ...]
@@ -144,13 +146,13 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
 def verify_cover(c: Cover) -> VerificationReport:
     """Check that every nonzero vector of F^n lies in at least one cover
     subspace, by enumerating each subspace from its basis, and that the
-    cover has the count its provenance steps add up to."""
+    cover's count and provenance follow its plan (``covers.follows_plan``)."""
     n, q = c.n, c.field.q
     hits = _hit_counts(c.field, n, c.subspaces, "cover", "subspace")
     uncovered = tuple(
         _index_vector(i, q, n) for i in range(1, q**n) if not hits[i]
     )
-    ok = not uncovered and c.count == c.provenance.predicted_count
+    ok = not uncovered and follows_plan(c)
     return VerificationReport(ok, uncovered, (), q**n - 1)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from subcover import cli, gf
 from subcover.covers import cover_finite, cover_from_json, cover_to_json
-from subcover.linalg import enumerate_vectors
+from subcover.linalg import span_tuples
 from subcover.partitions import (
     mixed_partition,
     partition_from_json,
@@ -219,8 +219,8 @@ class TestVerifyCommand:
         report = json.loads(out2)
         assert report["uncovered"] == []
         part = partition_from_json(doc).parts[0]
-        nonzero = sorted(list(v.entries) for v in enumerate_vectors(part)
-                         if not v.is_zero())
+        nonzero = sorted(list(v) for v in span_tuples(part.field, part.basis,
+                                                      part.n) if any(v))
         assert len(nonzero) == 3
         assert sorted(report["double_covered"]) == nonzero
 
@@ -355,6 +355,20 @@ class TestVerifyCommand:
         doc = json.loads(out)
         provenance(doc["provenance"])
         path = tmp_path / "miscounted.json"
+        path.write_text(json.dumps(doc))
+        code, out2, _ = run(capsys, "verify", "--cover", str(path))
+        assert code == 2
+        report = json.loads(out2)
+        assert report["ok"] is False and report["uncovered"] == []
+
+    def test_provenance_of_another_plan_fails(self, capsys, tmp_path):
+        # the counts add up to the cover's 5 subspaces, but the plan of
+        # (2, 4, 2) is one spread step at ambient dimension 4
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "4", "--k", "2")
+        doc = json.loads(out)
+        doc["provenance"] = {"kind": "peeling", "steps": [
+            {"kind": "peel", "ambient_dim": 9, "block_dim": 9, "count": 5}]}
+        path = tmp_path / "other_plan.json"
         path.write_text(json.dumps(doc))
         code, out2, _ = run(capsys, "verify", "--cover", str(path))
         assert code == 2

@@ -2,6 +2,7 @@
 filtration covers, and the q -> 1 limit."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from subcover.covers import (
     COUNTABLY_INFINITE,
     FIELD_POWER_PLUS_POINT,
     FINITE,
+    Cover,
     CoverCardinality,
     ProjectiveIndex,
+    Provenance,
     SpaceSpec,
     countable_cover_index,
     cover_finite,
@@ -21,6 +24,7 @@ from subcover.covers import (
     f1_cover_number,
     f1_limit_value,
     filtration_contains,
+    follows_plan,
     lift_cover,
     minimal_cover_count,
     nu,
@@ -231,6 +235,41 @@ class TestLiftCover:
         q = quotient(subspace_from_generators(F2, 4, [(0, 0, 0, 1)]))
         with pytest.raises(ValueError):
             lift_cover(q, cover_finite(F2, 2, 1))  # quotient has dim 3
+
+    def test_lifted_covers_follow_their_plan(self):
+        # a lift of a peeling cover, and a lift of that lift
+        inner = cover_finite(F2, 5, 2)
+        once = lift_cover(quotient(subspace_from_generators(
+            F2, 6, [(0, 0, 0, 0, 0, 1)])), inner)
+        twice = lift_cover(quotient(zero_subspace(F2, 6)), once)
+        for c in (inner, once, twice):
+            assert follows_plan(c) and verify_cover(c).ok
+        assert [s.kind for s in twice.provenance.steps] == [
+            "lift", "lift", *(s.kind for s in inner.provenance.steps)]
+
+    @pytest.mark.parametrize("edit", [
+        lambda steps: [replace(steps[0], ambient_dim=5), *steps[1:]],
+        lambda steps: [replace(steps[0], block_dim=4), *steps[1:]],
+        lambda steps: [replace(steps[0], count=4), *steps[1:]],
+        lambda steps: [replace(steps[0], kernel_dim=0, quotient_dim=4),
+                       *steps[1:]],
+        lambda steps: steps[1:],
+        lambda steps: steps[:1],
+    ], ids=["ambient", "block", "count", "kernel", "no-lift", "no-plan"])
+    def test_lift_steps_that_do_not_fit_fail(self, edit):
+        v0 = subspace_from_generators(F2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+        c = lift_cover(quotient(v0), cover_finite(F2, 2, 1))
+        prov = Provenance("lifted", tuple(edit(list(c.provenance.steps))))
+        doctored = Cover(F2, 4, 1, c.subspaces, prov)
+        assert not follows_plan(doctored)
+        assert not verify_cover(doctored).ok
+
+    def test_plan_of_another_kind_fails(self):
+        c = cover_finite(F2, 4, 2)
+        for kind in ("peeling", "lifted"):
+            doctored = Cover(F2, 4, 2, c.subspaces,
+                             Provenance(kind, c.provenance.steps))
+            assert not follows_plan(doctored)
 
 
 def rref_fractions(rows):

@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 
 from subcover.gf import (
     FIELD_CACHE_SIZE,
-    FieldElem,
     _build_field,
-    arith,
-    enumerate_field,
     field_from_json,
     field_new,
     field_to_json,
-    frobenius,
     is_prime,
 )
 
@@ -119,56 +115,50 @@ class TestFieldNew:
 class TestArith:
     def test_char2_addition(self):
         f = field_new(2, 1)
-        assert arith("add", f.one, f.one) == f.zero
+        assert f.add(1, 1) == 0
 
     def test_f4_generator_square(self):
         f = field_new(2, 2)
-        x = f.elem(2)
-        assert (x * x).enc == 3  # x^2 reduces to x + 1 mod x^2+x+1
+        x = 2
+        assert f.mul(x, x) == 3  # x^2 reduces to x + 1 mod x^2+x+1
 
     def test_f5_division(self):
         f = field_new(5, 1)
         assert f.mul(2, 4) == 3  # oracle for the quotient below
-        assert arith("div", f.elem(3), f.elem(2)) == f.elem(4)
+        assert f.div(3, 2) == 4
 
-    def test_field_mismatch_and_zero_division(self):
-        f2, f3 = field_new(2, 1), field_new(3, 1)
-        with pytest.raises(ValueError):
-            arith("add", f2.one, f3.one)
+    def test_zero_division(self):
+        f2 = field_new(2, 1)
         with pytest.raises(ZeroDivisionError):
-            arith("div", f2.one, f2.zero)
-        with pytest.raises(ValueError):
-            arith("xor", f2.one, f2.one)
+            f2.div(1, 0)
 
 
 class TestFrobenius:
+    """The i-fold Frobenius map a -> a^(p^i), as ``f.pow(a, f.p**i)``."""
+
     def test_zeroth_power_is_identity(self):
         f = field_new(3, 2)
         for e in range(f.q):
-            assert frobenius(f.elem(e), 0) == f.elem(e)
+            assert f.pow(e, f.p**0) == e
 
     def test_f4_generator(self):
         f = field_new(2, 2)
-        assert frobenius(f.elem(2), 1).enc == 3  # x^2 = x + 1
+        assert f.pow(2, f.p**1) == 3  # x^2 = x + 1
 
     def test_prime_field_fixed(self):
         f = field_new(7, 1)
         for e in range(7):
             for i in range(4):
-                assert frobenius(f.elem(e), i).enc == e
+                assert f.pow(e, f.p**i) == e
 
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (2, 4)])
     def test_additive_multiplicative_and_order(self, p, m):
         f = field_new(p, m)
         for a in range(f.q):
-            assert f.frobenius(a, m) == a
+            assert f.pow(a, p**m) == a
             for b in range(f.q):
-                assert f.frobenius(f.add(a, b), 1) == f.add(
-                    f.frobenius(a, 1), f.frobenius(b, 1)
-                )
-                assert f.frobenius(f.mul(a, b), 1) == f.mul(
-                    f.frobenius(a, 1), f.frobenius(b, 1)
-                )
+                assert f.pow(f.add(a, b), p) == f.add(f.pow(a, p), f.pow(b, p))
+                assert f.pow(f.mul(a, b), p) == f.mul(f.pow(a, p), f.pow(b, p))
 
 
 ALL_SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -219,39 +209,31 @@ def test_field_axioms_random_triples_f64(a, b, c):
 
 
 class TestEnumerationAndEncoding:
+    """Elements are enumerated as encodings 0, 1, ..., q - 1, and
+    ``digits`` inverts enc(a) = sum(coeffs[i] * p**i)."""
+
     def test_f2(self):
         f = field_new(2, 1)
-        assert [e.enc for e in enumerate_field(f)] == [0, 1]
+        assert [f.digits(e) for e in range(f.q)] == [(0,), (1,)]
 
     def test_f4_order(self):
         f = field_new(2, 2)
-        elems = list(enumerate_field(f))
-        assert [e.enc for e in elems] == [0, 1, 2, 3]
-        assert elems[2].coeffs == (0, 1)  # the generator x
+        elems = [f.digits(e) for e in range(f.q)]
+        assert elems == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        assert elems[2] == (0, 1)  # the generator x
 
     def test_f9_count(self):
         f = field_new(3, 2)
-        assert [e.enc for e in enumerate_field(f)] == list(range(9))
+        assert [f.digits(e) for e in range(f.q)] == [
+            (a, b) for b in range(3) for a in range(3)]  # enc = a + 3 b
 
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 2), (2, 4), (7, 1)])
     def test_encoding_round_trip(self, p, m):
         f = field_new(p, m)
-        seen = set()
-        for e in range(f.q):
-            elem = f.elem(e)
-            assert elem.enc == e
-            assert f.digits(e) == elem.coeffs
-            seen.add(elem.coeffs)
-        assert len(seen) == f.q
-
-    def test_elem_validation(self):
-        f = field_new(3, 2)
-        with pytest.raises(ValueError):
-            f.elem(9)
-        with pytest.raises(ValueError):
-            FieldElem(f, (3, 0))
-        with pytest.raises(ValueError):
-            FieldElem(f, (1,))
+        # the last coefficient varies slowest, as in enc's base-p digits
+        want = [t[::-1] for t in itertools.product(range(p), repeat=m)]
+        assert [f.digits(e) for e in range(f.q)] == want
+        assert len(set(want)) == f.q
 
 
 class TestJson:
@@ -319,7 +301,8 @@ class TestTables:
             assert log[exp[i]] == i
             assert exp[i + f.q - 1] == exp[i]
 
-    @pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (5, 4), (11, 1), (2, 8)])
+    @pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (5, 4), (11, 1), (2, 8),
+                                     (257, 2)])
     def test_ops_match_polynomial_arithmetic(self, p, m):
         f = field_new(p, m)
         rng = random.Random(p * 100 + m)
@@ -334,7 +317,7 @@ class TestTables:
             e = rng.randrange(3 * f.q)
             assert f.pow(a, e) == self.ref_pow(f, a, e)
             i = rng.randrange(2 * m + 1)
-            assert f.frobenius(a, i) == self.ref_pow(f, a, p**i)
+            assert f.pow(a, p**i) == self.ref_pow(f, a, p**i)
             if a:
                 inv = f.inv(a)
                 assert self.ref_mul(f, a, inv) == 1
@@ -362,7 +345,6 @@ class TestTables:
         _build_field.cache_clear()
         f = field_new(3, 4)
         assert "_tables" not in vars(f)
-        f.elem(5)
         f.digits(7)
         field_from_json(field_to_json(f))
         assert "_tables" not in vars(f)
@@ -385,7 +367,7 @@ class TestSubfield:
         f = field_new(p, m)
         sub = f.subfield(k)
         assert len(sub) == len(set(sub)) == p**k
-        assert set(sub) == {a for a in range(f.q) if f.frobenius(a, k) == a}
+        assert set(sub) == {a for a in range(f.q) if f.pow(a, p**k) == a}
         assert sub[:2] == [0, 1]
         b = f.pow(self.least_primitive(f), (f.q - 1) // (p**k - 1))
         assert sub[1:] == [f.pow(b, j) for j in range(p**k - 1)]

@@ -10,8 +10,6 @@ from subcover.covers import Cover, cover_finite, minimal_cover_count
 from subcover.gf import field_new
 from subcover.linalg import (
     contains,
-    enumerate_vectors,
-    full_subspace,
     subspace_from_generators,
 )
 from subcover.oracle import (
@@ -243,8 +241,7 @@ class TestProjectiveReductionSoundness:
         rng = random.Random(47)
         subs = enumerate_subspaces(F3, 2, 1)
         pts = projective_points(F3, 2)
-        all_vectors = [v.entries for v in enumerate_vectors(full_subspace(F3, 2))
-                       if any(v.entries)]
+        all_vectors = [v for v in product(range(3), repeat=2) if any(v)]
         for _ in range(40):
             family = rng.sample(subs, rng.randrange(1, len(subs) + 1))
             covers_vectors = all(

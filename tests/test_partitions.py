@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from subcover.gf import FIELD_CACHE_SIZE, field_new, is_prime
-from subcover.linalg import intersect, vec_scale
+from subcover.linalg import intersect
 from subcover.oracle import verify_partition
 from subcover.partitions import (
     FieldExtension,
@@ -73,7 +73,8 @@ class TestFieldExtension:
             coords = ext.to_coords(w)
             for c in range(base.q):
                 scaled = ext.top.mul(ext.embed(c), w)
-                assert ext.to_coords(scaled) == vec_scale(base, c, coords)
+                assert ext.to_coords(scaled) == tuple(
+                    base.mul(c, x) for x in coords)
 
 
 class TestSpread:
