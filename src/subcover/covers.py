@@ -25,7 +25,7 @@ from .linalg import (
     lift,
     quotient,
     subspace_from_generators,
-    subspace_from_json,
+    subspaces_from_json,
     subspace_to_json,
 )
 from .partitions import mixed_partition, spread_partition
@@ -539,7 +539,7 @@ def cover_from_json(doc: dict) -> Cover:
     codim = json_int(codim, "codim")
     if not isinstance(subspaces, list):
         raise ValueError("malformed cover document: subspaces must be a list")
-    subspaces = tuple(subspace_from_json(s, f) for s in subspaces)
+    subspaces = subspaces_from_json(subspaces, f)
     prov = provenance_from_json(prov)
     if count != len(subspaces):
         raise ValueError("count does not match the subspace list")

@@ -410,18 +410,30 @@ def json_fields(doc, what: str, *keys: str) -> list:
     return [doc[key] for key in keys]
 
 
-def subspace_from_json(doc: dict, ambient: FieldDescriptor | None = None
-                       ) -> Subspace:
-    """Parse a subspace document.  A caller that has parsed the ambient
-    field already passes it as ``ambient``: a subspace whose field document
-    equals the ambient one then reuses it instead of parsing its own."""
-    field_doc, n, basis = json_fields(doc, "subspace", "field", "n", "basis")
-    if ambient is not None and field_doc == field_to_json(ambient):
-        f = ambient
-    else:
-        f = field_from_json(field_doc)
-    n = json_int(n, "subspace n", 1)
-    if not isinstance(basis, list) or not all(isinstance(r, list) for r in basis):
-        raise ValueError("malformed subspace document: basis must be a list "
-                         "of rows")
-    return subspace_from_rref(f, n, basis)
+def subspace_from_json(doc: dict) -> Subspace:
+    """Parse a subspace document."""
+    return subspaces_from_json([doc])[0]
+
+
+def subspaces_from_json(docs: list, ambient: FieldDescriptor | None = None
+                        ) -> tuple[Subspace, ...]:
+    """Parse a list of subspace documents.  A caller that has parsed the
+    ambient field already passes it as ``ambient``: a subspace whose field
+    document equals the ambient one then reuses it instead of parsing its
+    own, and the ambient document is built once for the whole list."""
+    ambient_doc = None if ambient is None else field_to_json(ambient)
+    out = []
+    for doc in docs:
+        field_doc, n, basis = json_fields(doc, "subspace", "field", "n",
+                                          "basis")
+        if ambient is not None and field_doc == ambient_doc:
+            f = ambient
+        else:
+            f = field_from_json(field_doc)
+        n = json_int(n, "subspace n", 1)
+        if not (isinstance(basis, list)
+                and all(isinstance(r, list) for r in basis)):
+            raise ValueError("malformed subspace document: basis must be a "
+                             "list of rows")
+        out.append(subspace_from_rref(f, n, basis))
+    return tuple(out)

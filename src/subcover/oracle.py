@@ -4,10 +4,14 @@ Covers and partitions are checked by enumerating every vector of every
 claimed subspace from its basis; minimal cover sizes are recomputed by an
 exact branch-and-bound set-cover search over projective points, pruned by
 the counting bound ceil(remaining points / points per subspace).  The
-search's point masks are not enumerated vector by vector: a point's
-position in ``projective_points`` is linear in its coordinates, so each
-candidate's point indices are a sum of per-column tables held as packed
-lanes of one int (see ``_point_masks``).
+search is iterative, with an explicit stack, and branches on the lowest
+uncovered point: GL(n, q) is transitive on points, so every point lies in
+equally many candidates and the lowest one is as constrained as any.  Its
+candidates are built per pivot tuple, as the product of each RREF row's
+possible rows.  Their point masks are not enumerated vector by vector: a
+point's position in ``projective_points`` is linear in its coordinates, so
+each candidate's point indices are a sum of per-column tables held as
+packed lanes of one int (see ``_point_masks``).
 
 Shared with the construction code: the ``Subspace`` type and the field
 descriptor, whose ``add`` and ``mul`` the search calls and whose
@@ -23,9 +27,10 @@ is its plan (``covers.follows_plan``) reads ``cover_plan``.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
-from operator import mul
+from itertools import chain, combinations, islice, product, repeat
+from operator import getitem, mul
 from sys import byteorder
 
 from .bounds import DEFAULT_MAX_SUBSPACES, check_enumeration_size
@@ -64,7 +69,11 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int,
                         max_count: int = DEFAULT_MAX_SUBSPACES
                         ) -> list[Subspace]:
     """All d-dimensional subspaces of F^n, each exactly once, by direct
-    enumeration of RREF matrices (pivot columns, then free entries)."""
+    enumeration of RREF matrices: pivot columns in lexicographic order,
+    then the free entries in product order, row by row (the first row
+    slowest).  In RREF a row's free entries are its own, so each row's
+    q^(free cells) possible rows are built once per pivot tuple and the
+    candidates are their product."""
     count = gaussian_binomial(n, d, f.q)
     if count > max_count:
         raise ValueError(
@@ -74,23 +83,19 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int,
         return [Subspace(f, n, (), ())]
     out = []
     for pivots in combinations(range(n), d):
-        pivot_set = set(pivots)
-        cells = [
-            (i, c)
-            for i in range(d)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivot_set
-        ]
-        template = []
-        for i in range(d):
+        rows = []
+        for p in pivots:
+            free = [c for c in range(p + 1, n) if c not in pivots]
             row = [0] * n
-            row[pivots[i]] = 1
-            template.append(row)
-        for values in product(range(f.q), repeat=len(cells)):
-            rows = [list(r) for r in template]
-            for (i, c), v in zip(cells, values):
-                rows[i][c] = v
-            out.append(Subspace(f, n, tuple(tuple(r) for r in rows), pivots))
+            row[p] = 1
+            choices = []
+            for values in product(range(f.q), repeat=len(free)):
+                for c, v in zip(free, values):
+                    row[c] = v
+                choices.append(tuple(row))
+            rows.append(choices)
+        out += map(Subspace, repeat(f), repeat(n), product(*rows),
+                   repeat(pivots))
     if len(out) != count:
         raise AssertionError("subspace enumeration count mismatch")
     return out
@@ -194,12 +199,14 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
     point's coordinate col is then <c, u_col>, u_col the basis column, and
     by ``_index_weights`` its index is linear in its coordinates.  The
     values <c, u> over all c are built once per distinct column u, as the
-    fixed-width lanes of one int, so a candidate's point indices cost one
-    multiply-add of packed ints per non-pivot column and one decode.  The
-    packing is plain integer arithmetic: a lane holding a negative shift
-    borrows from the next until the pivot columns are added, and the lane
-    width is chosen from the point count, so every finished lane holds its
-    point index in [0, npoints) exactly.
+    fixed-width lanes of one int, and scaled by the column's weight once
+    per column index, so a candidate's point indices cost one sum of
+    packed ints, one per column.  The packing is plain integer arithmetic:
+    a lane holding a negative shift borrows from the next until the pivot
+    columns are added, and the lane width is chosen from the point count,
+    so every finished lane holds its point index in [0, npoints) exactly.
+    The lanes of all candidates are decoded together and split into masks
+    and ``covering`` lists in one pass each.
     """
     q = f.q
     add, mul = f.add, f.mul
@@ -228,32 +235,39 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
             tables[u] = int.from_bytes(lanes.tobytes(), byteorder)
         return tables[u]
 
-    def start(pivots: tuple[int, ...]) -> tuple[int, list[int], int]:
-        # what every candidate with these pivots shares: each lane's shift
-        # and the pivot columns, which are unit vectors
-        d = len(pivots)
-        leads = [p for i, p in enumerate(pivots) for _ in range(q**(d - 1 - i))]
-        acc = sum(shift[p] << (8 * lane_bytes * j) for j, p in enumerate(leads))
-        for j, p in enumerate(pivots):
-            acc += weight[p] * table(tuple(int(i == j) for i in range(d)))
-        free = [c for c in range(pivots[0], n) if c not in pivots]
-        return acc, free, lane_bytes * len(leads)
+    class Scaled(dict):
+        # weight[col] * table(u) for every column u met at index col
+        def __init__(self, col: int):
+            self.col = col
 
-    bit = (1).__lshift__
-    starts: dict[tuple[int, ...], tuple[int, list[int], int]] = {}
-    masks: list[int] = []
-    covering: list[list[int]] = [[] for _ in range(npoints)]
-    for i, s in enumerate(cands):
+        def __missing__(self, u: Row) -> int:
+            self[u] = value = weight[self.col] * table(u)
+            return value
+
+    scaled = [Scaled(col) for col in range(n)]
+    starts: dict[tuple[int, ...], tuple[int, int]] = {}
+    accs, counts = [], []
+    for s in cands:
         if s.pivots not in starts:
-            starts[s.pivots] = start(s.pivots)
-        acc, free, size = starts[s.pivots]
-        cols = list(zip(*s.basis))
-        for c in free:
-            acc += weight[c] * table(cols[c])
-        lanes = array(code, acc.to_bytes(size, byteorder))
-        masks.append(sum(map(bit, lanes)))
-        for j in lanes:
-            covering[j].append(i)
+            # each lane's shift, by the leading index of its point
+            leads = [p for i, p in enumerate(s.pivots)
+                     for _ in range(q**(len(s.pivots) - 1 - i))]
+            starts[s.pivots] = (sum(shift[p] << (8 * lane_bytes * j)
+                                    for j, p in enumerate(leads)), len(leads))
+        start, count = starts[s.pivots]
+        accs.append(sum(map(getitem, scaled, zip(*s.basis)), start))
+        counts.append(count)
+    # decode every candidate's lanes at once, then split them by candidate
+    lanes = array(code, b"".join(map(
+        int.to_bytes, accs, map(lane_bytes.__mul__, counts), repeat(byteorder))))
+    bit = [0] * npoints
+    for j in set(lanes):
+        bit[j] = 1 << j
+    bits = map(bit.__getitem__, lanes)
+    masks = list(map(sum, map(islice, repeat(bits), counts)))
+    covering: list[list[int]] = [[] for _ in range(npoints)]
+    owners = chain.from_iterable(map(repeat, range(len(cands)), counts))
+    deque(map(list.append, map(covering.__getitem__, lanes), owners), maxlen=0)
     return masks, covering
 
 
@@ -283,15 +297,22 @@ def min_cover_size(
     """Exact minimum number of codimension-k subspaces covering F^n.
 
     Depth-first branch and bound over projective points: branch on the
-    uncovered point contained in the fewest candidate subspaces, prune with
-    the counting bound ceil(remaining / points_per_subspace).  Candidates
-    come from ``enumerate_subspaces``; their point bitmasks, and the
-    candidates through each point, from ``_point_masks``, which reads each
-    candidate's point indices off packed per-column tables.  The search
-    admits solutions up to ``upper_hint`` (default: the counting bound
-    ceil(points / points_per_subspace), which equals the closed form); if
-    no cover that small exists it reruns against a greedy upper bound, so
-    the result never presupposes the hint is attainable.
+    lowest uncovered point, prune with the counting bound
+    ceil(remaining / points_per_subspace).  GL(n, q) permutes the points
+    transitively and maps candidates to candidates, so every point lies in
+    the same number of candidates, gaussian_binomial(n-1, d-1, q); the
+    lowest uncovered point is therefore also one in the fewest candidates.
+    Children are tried by most new points, then lowest index.  The search
+    is iterative, with one frame of pending children per level, so a cover
+    of one subspace per point (k = n-1) does not hit Python's recursion
+    limit.  Candidates come from ``enumerate_subspaces``; their point
+    bitmasks, and the candidates through each point, from
+    ``_point_masks``, which reads each candidate's point indices off
+    packed per-column tables.  The search admits solutions up to
+    ``upper_hint`` (default: the counting bound ceil(points /
+    points_per_subspace), which equals the closed form); if no cover that
+    small exists it reruns against a greedy upper bound, so the result
+    never presupposes the hint is attainable.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -302,39 +323,36 @@ def min_cover_size(
     npoints = len(covering)
     full = (1 << npoints) - 1
     pts_per = (q ** (n - k) - 1) // (q - 1)
-    # how many candidates pass through each point, for the branching
-    frequency = [len(c) for c in covering]
+    if {len(c) for c in covering} != {gaussian_binomial(n - 1, n - k - 1, q)}:
+        raise AssertionError("points lie in unequal numbers of candidates")
 
     def search(limit: int) -> int | None:
         best: int | None = None
-
-        def dfs(cov: int, chosen: int) -> None:
-            nonlocal best
+        # frames[i] yields the covered sets of the pending children of the
+        # node at depth i - 1; the root is the only child of frames[0]
+        frames = [iter((0,))]
+        while frames:
+            cov = next(frames[-1], None)
+            if cov is None:
+                frames.pop()
+                continue
+            chosen = len(frames) - 1
             if cov == full:
                 if best is None or chosen < best:
                     best = chosen
-                return
+                continue
             cap = (best - 1) if best is not None else limit
             remaining = npoints - cov.bit_count()
             if chosen + -(-remaining // pts_per) > cap:
-                return
-            branch_pt = None
-            branch_freq = None
-            rem = full & ~cov
-            while rem:
-                low = rem & -rem
-                j = low.bit_length() - 1
-                if branch_freq is None or frequency[j] < branch_freq:
-                    branch_freq, branch_pt = frequency[j], j
-                rem ^= low
+                continue
+            uncov = ~cov
+            # the lowest uncovered point is the lowest zero bit of cov
+            branch_pt = (uncov & (cov + 1)).bit_length() - 1
             order = sorted(
                 covering[branch_pt],
-                key=lambda i: (-(masks[i] & ~cov).bit_count(), i),
+                key=lambda i: (-(masks[i] & uncov).bit_count(), i),
             )
-            for i in order:
-                dfs(cov | masks[i], chosen + 1)
-
-        dfs(0, 0)
+            frames.append(map(cov.__or__, map(masks.__getitem__, order)))
         return best
 
     hint = upper_hint if upper_hint is not None else -(-npoints // pts_per)

@@ -30,7 +30,7 @@ from .linalg import (
     json_int,
     span_tuples,  # unused; perfbench's tests read partitions.span_tuples
     subspace_from_generators,
-    subspace_from_json,
+    subspaces_from_json,
     subspace_to_json,
 )
 
@@ -226,7 +226,7 @@ def partition_from_json(doc: dict) -> Partition:
         raise ValueError(f"unknown partition kind {kind!r}")
     if not isinstance(parts, list):
         raise ValueError("malformed partition document: parts must be a list")
-    parts = tuple(subspace_from_json(s, f) for s in parts)
+    parts = subspaces_from_json(parts, f)
     for s in parts:
         if s.field != f or s.n != n:
             raise ValueError("partition part has mismatched ambient space")

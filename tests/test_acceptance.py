@@ -49,9 +49,11 @@ def test_criterion_1_sharpness_on_small_instances():
 
 def test_sharpness_on_the_wider_grid():
     """min_cover_size == ceil((q^n-1)/(q^(n-k)-1)) past criterion 1's grid:
-    q=2 with n <= 6, q=3 with n=5 and k in {1,2,4}, q=4 with n in {3,4},
-    and q in {5,7} with n=3.  (2,7,5) and (3,5,3) are still out of reach."""
+    q=2 with n <= 6, q=2 with n=7 and k in {1,2,3,4,6}, q=3 with n=5 and
+    k in {1,2,4}, q=4 with n in {3,4}, and q in {5,7} with n=3.  (2,7,5)
+    and (3,5,3) are still out of reach."""
     grid = [(2, 1, n, k) for n in range(2, 7) for k in range(1, n)]
+    grid += [(2, 1, 7, k) for k in (1, 2, 3, 4, 6)]
     grid += [(3, 1, 5, k) for k in (1, 2, 4)]
     grid += [(2, 2, n, k) for n in (3, 4) for k in range(1, n)]
     grid += [(p, 1, 3, k) for p in (5, 7) for k in (1, 2)]
@@ -59,7 +61,7 @@ def test_sharpness_on_the_wider_grid():
         got = min_cover_size(field_new(p, m), n, k)
         want = minimal_cover_count(p**m, n, k)
         assert got == want, (p**m, n, k, got, want)
-    assert len(grid) == 27
+    assert len(grid) == 32
     print(f"SHARPNESS: PASS - exact on {len(grid)} instances of the wider grid")
 
 

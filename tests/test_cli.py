@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcover import cli, gf
+from subcover import cli, gf, linalg
 from subcover.covers import cover_finite, cover_from_json, cover_to_json
 from subcover.linalg import span_tuples
 from subcover.partitions import (
@@ -317,6 +317,21 @@ class TestVerifyCommand:
         assert len(partition_from_json(json.loads(out)).parts) == 255
         assert calls == [(2, 1)]
 
+    @pytest.mark.parametrize("argv,read", [
+        (("partition", "--p", "2", "--n", "8", "--d", "1", "--kind", "spread"),
+         partition_from_json),
+        (("cover", "--p", "2", "--n", "8", "--k", "7"), cover_from_json),
+    ])
+    def test_ambient_document_is_built_once(self, capsys, monkeypatch, argv,
+                                            read):
+        _, out, _ = run(capsys, *argv)
+        calls = []
+        field_to_json = linalg.field_to_json
+        monkeypatch.setattr(linalg, "field_to_json",
+                            lambda f: calls.append(f) or field_to_json(f))
+        read(json.loads(out))
+        assert len(calls) == 1
+
     def test_part_with_another_field_is_a_mismatch(self, capsys, tmp_path):
         _, out, _ = run(capsys, "partition", "--p", "2", "--n", "2",
                         "--d", "1", "--kind", "spread")
@@ -483,6 +498,13 @@ class TestOracleCommand:
         code, out, _ = run(capsys, "oracle", "min", "--p", "2", "--n", "4",
                            "--k", "2", "--upper-hint", "7")
         assert code == 0 and out.strip() == "5"
+
+    def test_min_with_one_subspace_per_point(self, capsys):
+        # k = n-1: the cover is all 1023 points of GF(2)^10, one search
+        # level per point, past Python's default recursion limit
+        code, out, err = run(capsys, "oracle", "min", "--p", "2", "--n", "10",
+                             "--k", "9")
+        assert (code, out, err) == (0, "1023\n", "")
 
     def test_threads_flag_rejected(self, capsys):
         code, _, err = run(capsys, "oracle", "min", "--p", "2", "--n", "4",

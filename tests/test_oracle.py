@@ -2,10 +2,11 @@
 exact minimality search."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from subcover import oracle
 from subcover.covers import Cover, cover_finite, minimal_cover_count
 from subcover.gf import field_new
 from subcover.linalg import (
@@ -97,6 +98,26 @@ class TestEnumerateSubspaces:
         with pytest.raises(ValueError):
             enumerate_subspaces(F2, 10, 5, max_count=100)
 
+    @pytest.mark.parametrize("p,m,n", [(2, 1, 5), (3, 1, 4), (2, 2, 3),
+                                       (7, 1, 3)])
+    def test_order_matches_cell_by_cell_reference(self, p, m, n):
+        # the search breaks ties by candidate index, so the order matters:
+        # pivots in lexicographic order, then the free cells row-major in
+        # product order (the last cell fastest)
+        f = field_new(p, m)
+        for d in range(n + 1):
+            want = []
+            for pivots in combinations(range(n), d):
+                cells = [(i, c) for i in range(d)
+                         for c in range(pivots[i] + 1, n) if c not in pivots]
+                for values in product(range(f.q), repeat=len(cells)):
+                    rows = [[int(c == pv) for c in range(n)] for pv in pivots]
+                    for (i, c), v in zip(cells, values):
+                        rows[i][c] = v
+                    want.append((tuple(map(tuple, rows)), pivots))
+            got = [(s.basis, s.pivots) for s in enumerate_subspaces(f, n, d)]
+            assert got == want, (p, m, n, d)
+
 
 def lines_cover(f):
     """The q+1 lines of F_q^2 packaged as a Cover."""
@@ -170,6 +191,9 @@ def test_point_mask_matches_membership(f, n, d):
         assert mask == want
     assert covering == [[i for i, m in enumerate(masks) if m >> j & 1]
                         for j in range(len(pts))]
+    # GL(n, q) is transitive on points, so each lies in equally many
+    # candidates; the search's branching rule relies on it
+    assert {len(c) for c in covering} == {gaussian_binomial(n - 1, d - 1, f.q)}
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
@@ -232,6 +256,16 @@ class TestMinCoverSize:
     def test_validation(self):
         with pytest.raises(ValueError):
             min_cover_size(F2, 3, 3)
+
+    def test_enumerates_candidates_once_through_the_module(self, monkeypatch):
+        # the benchmark counts candidates by wrapping the module global
+        calls = []
+        enumerate_all = oracle.enumerate_subspaces
+        monkeypatch.setattr(oracle, "enumerate_subspaces",
+                            lambda *a, **kw: calls.append(a) or
+                            enumerate_all(*a, **kw))
+        assert min_cover_size(F2, 4, 2, upper_hint=4) == 5
+        assert calls == [(F2, 4, 2)]
 
 
 class TestProjectiveReductionSoundness:
