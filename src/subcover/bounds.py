@@ -11,9 +11,13 @@ import os
 
 DEFAULT_MAX_Q_POW = 2**20
 
-# Subspace enumeration (the oracle's search space) has its own default cap,
+# Subspace enumeration (the oracle's search space) has its own fixed cap,
 # expressed as a count of subspaces rather than a power of q.
-DEFAULT_MAX_SUBSPACES = 100_000
+MAX_SUBSPACES = 100_000
+
+# The minimality search holds one point bitmask per candidate, so its
+# memory grows with candidates x points; this caps that product.
+MAX_MASK_BITS = 2**24
 
 _ENV_VAR = "SUBCOVER_MAX_Q_POW"
 

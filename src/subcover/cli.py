@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     f = _field_from_args(args)
-    print(oracle.min_cover_size(f, args.n, args.k, upper_hint=args.upper_hint))
+    print(oracle.min_cover_size(f, args.n, args.k))
     return 0
 
 
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(po)
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--k", type=int, required=True)
-    po.add_argument("--upper-hint", type=int, default=None)
     po.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("assign",

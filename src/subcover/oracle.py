@@ -2,10 +2,11 @@
 
 Covers and partitions are checked by enumerating every vector of every
 claimed subspace from its basis; minimal cover sizes are recomputed by an
-exact branch-and-bound set-cover search over projective points, pruned by
-the counting bound ceil(remaining points / points per subspace).  The
-search is iterative, with an explicit stack, and branches on the lowest
-uncovered point: GL(n, q) is transitive on points, so every point lies in
+exact set-cover search over projective points that deepens from the
+counting bound ceil(points / points per subspace), with no hint and no
+heuristic pass, and prunes with ceil(remaining points / points per
+subspace).  The search is iterative and branches on the lowest uncovered
+point: GL(n, q) is transitive on points, so every point lies in
 equally many candidates and the lowest one is as constrained as any.  Its
 candidates are built per pivot tuple, as the product of each RREF row's
 possible rows.  Their point masks are not enumerated vector by vector: a
@@ -33,7 +34,7 @@ from itertools import chain, combinations, islice, product, repeat
 from operator import getitem, mul
 from sys import byteorder
 
-from .bounds import DEFAULT_MAX_SUBSPACES, check_enumeration_size
+from .bounds import MAX_MASK_BITS, MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, follows_plan
 from .gf import FieldDescriptor
 from .linalg import Row, Subspace, span_tuples
@@ -65,9 +66,7 @@ def projective_points(f: FieldDescriptor, n: int) -> tuple[Row, ...]:
     return tuple(pts)
 
 
-def enumerate_subspaces(f: FieldDescriptor, n: int, d: int,
-                        max_count: int = DEFAULT_MAX_SUBSPACES
-                        ) -> list[Subspace]:
+def enumerate_subspaces(f: FieldDescriptor, n: int, d: int) -> list[Subspace]:
     """All d-dimensional subspaces of F^n, each exactly once, by direct
     enumeration of RREF matrices: pivot columns in lexicographic order,
     then the free entries in product order, row by row (the first row
@@ -75,9 +74,9 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int,
     q^(free cells) possible rows are built once per pivot tuple and the
     candidates are their product."""
     count = gaussian_binomial(n, d, f.q)
-    if count > max_count:
+    if count > MAX_SUBSPACES:
         raise ValueError(
-            f"{count} subspaces exceed the search bound {max_count}"
+            f"{count} subspaces exceed the search bound {MAX_SUBSPACES}"
         )
     if d == 0:
         return [Subspace(f, n, (), ())]
@@ -271,54 +270,34 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
     return masks, covering
 
 
-def _greedy_cover_size(masks: list[int], full: int) -> int:
-    covered = 0
-    size = 0
-    while covered != full:
-        best_gain, best_idx = 0, None
-        for i, m in enumerate(masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_idx = gain, i
-        if best_idx is None:
-            raise AssertionError("candidate subspaces cannot cover the space")
-        covered |= masks[best_idx]
-        size += 1
-    return size
-
-
-def min_cover_size(
-    f: FieldDescriptor,
-    n: int,
-    k: int,
-    upper_hint: int | None = None,
-    max_subspaces: int = DEFAULT_MAX_SUBSPACES,
-) -> int:
+def min_cover_size(f: FieldDescriptor, n: int, k: int) -> int:
     """Exact minimum number of codimension-k subspaces covering F^n.
 
-    Depth-first branch and bound over projective points: branch on the
-    lowest uncovered point, prune with the counting bound
-    ceil(remaining / points_per_subspace).  GL(n, q) permutes the points
-    transitively and maps candidates to candidates, so every point lies in
-    the same number of candidates, gaussian_binomial(n-1, d-1, q); the
-    lowest uncovered point is therefore also one in the fewest candidates.
-    Children are tried by most new points, then lowest index.  The search
-    is iterative, with one frame of pending children per level, so a cover
-    of one subspace per point (k = n-1) does not hit Python's recursion
-    limit.  Candidates come from ``enumerate_subspaces``; their point
-    bitmasks, and the candidates through each point, from
-    ``_point_masks``, which reads each candidate's point indices off
-    packed per-column tables.  The search admits solutions up to
-    ``upper_hint`` (default: the counting bound ceil(points /
-    points_per_subspace), which equals the closed form); if no cover that
-    small exists it reruns against a greedy upper bound, so the result
-    never presupposes the hint is attainable.
+    Deepens from the counting bound L = ceil(points / points_per_subspace),
+    a lower bound on every cover that equals the closed form: asks whether
+    L subspaces suffice, then L+1, ..., and returns the first size that
+    does, so the result never presupposes that L is attained.  Each
+    question is a depth-first search that branches on the lowest uncovered
+    point, prunes with ceil(remaining / points_per_subspace) and stops at
+    the first full cover.  GL(n, q) permutes the points transitively and
+    maps candidates to candidates, so every point lies in the same number
+    of candidates, gaussian_binomial(n-1, d-1, q); the lowest uncovered
+    point is therefore also one in the fewest candidates.  Children are
+    tried by most new points, then lowest index.  The search is iterative,
+    with one frame of pending children per level, so a cover of one
+    subspace per point (k = n-1) does not hit Python's recursion limit.
+    Candidates come from ``enumerate_subspaces``; their point bitmasks, and
+    the candidates through each point, from ``_point_masks``.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     q = f.q
     check_enumeration_size(q, n, f"minimality search over GF({q})^{n}")
-    cands = enumerate_subspaces(f, n, n - k, max_count=max_subspaces)
+    bits = gaussian_binomial(n, n - k, q) * gaussian_binomial(n, 1, q)
+    if bits > MAX_MASK_BITS:
+        raise ValueError(f"minimality search over GF({q})^{n} needs {bits} "
+                         f"point-mask bits, over the bound {MAX_MASK_BITS}")
+    cands = enumerate_subspaces(f, n, n - k)
     masks, covering = _point_masks(f, n, cands)
     npoints = len(covering)
     full = (1 << npoints) - 1
@@ -326,8 +305,7 @@ def min_cover_size(
     if {len(c) for c in covering} != {gaussian_binomial(n - 1, n - k - 1, q)}:
         raise AssertionError("points lie in unequal numbers of candidates")
 
-    def search(limit: int) -> int | None:
-        best: int | None = None
+    def covers_within(limit: int) -> bool:
         # frames[i] yields the covered sets of the pending children of the
         # node at depth i - 1; the root is the only child of frames[0]
         frames = [iter((0,))]
@@ -336,14 +314,11 @@ def min_cover_size(
             if cov is None:
                 frames.pop()
                 continue
-            chosen = len(frames) - 1
             if cov == full:
-                if best is None or chosen < best:
-                    best = chosen
-                continue
-            cap = (best - 1) if best is not None else limit
+                return True
+            chosen = len(frames) - 1
             remaining = npoints - cov.bit_count()
-            if chosen + -(-remaining // pts_per) > cap:
+            if chosen + -(-remaining // pts_per) > limit:
                 continue
             uncov = ~cov
             # the lowest uncovered point is the lowest zero bit of cov
@@ -353,12 +328,10 @@ def min_cover_size(
                 key=lambda i: (-(masks[i] & uncov).bit_count(), i),
             )
             frames.append(map(cov.__or__, map(masks.__getitem__, order)))
-        return best
+        return False
 
-    hint = upper_hint if upper_hint is not None else -(-npoints // pts_per)
-    best = search(hint)
-    if best is None:
-        best = search(_greedy_cover_size(masks, full))
-    if best is None:
-        raise AssertionError("no cover found below the greedy bound")
-    return best
+    # every point lies in a candidate, so this stops by limit = npoints
+    limit = -(-npoints // pts_per)
+    while not covers_within(limit):
+        limit += 1
+    return limit

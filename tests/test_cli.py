@@ -494,10 +494,10 @@ class TestOracleCommand:
                            "--k", "1")
         assert code == 0 and out.strip() == "4"
 
-    def test_min_with_hint(self, capsys):
-        code, out, _ = run(capsys, "oracle", "min", "--p", "2", "--n", "4",
+    def test_upper_hint_flag_rejected(self, capsys):
+        code, _, err = run(capsys, "oracle", "min", "--p", "2", "--n", "4",
                            "--k", "2", "--upper-hint", "7")
-        assert code == 0 and out.strip() == "5"
+        assert code == 1 and "error" in err
 
     def test_min_with_one_subspace_per_point(self, capsys):
         # k = n-1: the cover is all 1023 points of GF(2)^10, one search
@@ -505,6 +505,21 @@ class TestOracleCommand:
         code, out, err = run(capsys, "oracle", "min", "--p", "2", "--n", "10",
                              "--k", "9")
         assert (code, out, err) == (0, "1023\n", "")
+
+    @pytest.mark.parametrize("n,k", [(13, 1), (16, 15)])
+    def test_point_masks_over_the_bound_rejected(self, capsys, n, k):
+        # both pass the q^n and candidate-count guards; their point masks
+        # would take hundreds of megabytes or gigabytes
+        code, out, err = run(capsys, "oracle", "min", "--p", "2", "--n",
+                             str(n), "--k", str(k))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "point-mask bits" in err
+
+    def test_one_subspace_per_point_under_the_mask_bound(self, capsys):
+        # 4095 candidates x 4095 points, just under 2^24 mask bits
+        code, out, err = run(capsys, "oracle", "min", "--p", "2", "--n", "12",
+                             "--k", "11")
+        assert (code, out, err) == (0, "4095\n", "")
 
     def test_threads_flag_rejected(self, capsys):
         code, _, err = run(capsys, "oracle", "min", "--p", "2", "--n", "4",

@@ -96,7 +96,7 @@ class TestEnumerateSubspaces:
 
     def test_bound_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_subspaces(F2, 10, 5, max_count=100)
+            enumerate_subspaces(F2, 10, 5)
 
     @pytest.mark.parametrize("p,m,n", [(2, 1, 5), (3, 1, 4), (2, 2, 3),
                                        (7, 1, 3)])
@@ -246,12 +246,18 @@ class TestMinCoverSize:
         assert min_cover_size(F2, 5, 4) == 31
         assert min_cover_size(F2, 6, 3) == 9
 
-    def test_hint_does_not_bias_the_result(self):
-        # a hopeless hint forces the greedy-seeded rerun; a loose hint must
-        # not inflate the minimum
-        assert min_cover_size(F2, 2, 1, upper_hint=2) == 3
-        assert min_cover_size(F2, 2, 1, upper_hint=10) == 3
-        assert min_cover_size(F2, 4, 2, upper_hint=4) == 5
+    def test_deepens_past_an_unattained_counting_bound(self, monkeypatch):
+        # no real instance reaches a second depth, so fake the incidence:
+        # six 3-sets {i, i+1, i+3} mod 6 of six points, each point in three
+        # of them and no two disjoint, so the counting bound 2 is not
+        # attained and the minimum is 3
+        sets = [{i, (i + 1) % 6, (i + 3) % 6} for i in range(6)]
+        masks = [sum(1 << j for j in s) for s in sets]
+        covering = [[i for i, s in enumerate(sets) if j in s]
+                    for j in range(6)]
+        monkeypatch.setattr(oracle, "_point_masks",
+                            lambda f, n, cands: (masks, covering))
+        assert min_cover_size(F2, 3, 1) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -264,7 +270,7 @@ class TestMinCoverSize:
         monkeypatch.setattr(oracle, "enumerate_subspaces",
                             lambda *a, **kw: calls.append(a) or
                             enumerate_all(*a, **kw))
-        assert min_cover_size(F2, 4, 2, upper_hint=4) == 5
+        assert min_cover_size(F2, 4, 2) == 5
         assert calls == [(F2, 4, 2)]
 
 
