@@ -108,7 +108,7 @@ def _cmd_verify(args) -> int:
             doc = json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
     if args.cover:
         report = oracle.verify_cover(covers.cover_from_json(doc))
@@ -146,7 +146,7 @@ def _cmd_assign(args) -> int:
 def _cmd_countable(args) -> int:
     try:
         raw = json.loads(args.support)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"malformed support JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CliError("support must be a JSON object mapping index to scalar")

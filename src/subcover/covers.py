@@ -260,9 +260,9 @@ class Cover:
     provenance: Provenance
 
     def __post_init__(self):
-        want = self.n - self.codim
+        f, want = self.field, self.n - self.codim
         for s in self.subspaces:
-            if s.field != self.field or s.n != self.n:
+            if s.field is not f and s.field != f or s.n != self.n:
                 raise ValueError("cover subspace in wrong ambient space")
             if s.dim != want:
                 raise ValueError(

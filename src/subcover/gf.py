@@ -150,20 +150,36 @@ class FieldDescriptor:
                 break
         # The tables are filled coset by coset, g^s <h> for h = x (h = g when
         # m = 1), since an encoding times h is one integer product whose
-        # overflow digit c folds back as c x^m = -c (modulus - x^m).
+        # overflow digit c folds back as c x^m = -c (modulus - x^m).  In
+        # characteristic 2 that is a shift and an XOR with the modulus.
+        # orbit(e) walks e, h e, h^2 e, ... until it returns to e
         h = p if m > 1 else g
-        folds = [(p**j, -c % p) for j, c in enumerate(modulus[:m]) if c]
+        if p == 2:
+            over = sum(c << j for j, c in enumerate(modulus))
 
-        def orbit(e):  # e, h e, h^2 e, ... until the walk returns to e
-            start = e
-            while True:
-                yield e
-                c, e = divmod(e * h, q)
-                for w, t in folds:
-                    d = e // w % p
-                    e += ((d + c * t) % p - d) * w
-                if e == start:
-                    return
+            def orbit(e):
+                start = e
+                while True:
+                    yield e
+                    e *= h
+                    if e >= q:
+                        e ^= over
+                    if e == start:
+                        return
+        else:
+            folds = [(p**j, -c % p) for j, c in enumerate(modulus[:m]) if c]
+
+            def orbit(e):
+                start = e
+                while True:
+                    yield e
+                    c, e = divmod(e * h, q)
+                    if c:
+                        for w, t in folds:
+                            d = e // w % p
+                            e += ((d + c * t) % p - d) * w
+                    if e == start:
+                        return
 
         code = "H" if q <= 1 << 16 else "I"
         weights = [p**j for j in range(m)]

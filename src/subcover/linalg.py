@@ -9,8 +9,8 @@ comparison and lets subspaces be deduplicated through hashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
-from operator import getitem
+from itertools import chain, product, repeat
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .gf import FieldDescriptor, field_from_json, field_to_json
@@ -38,31 +38,39 @@ def rref(f: FieldDescriptor, matrix: Sequence[Sequence[int]]
     The returned matrix has the same shape as the input (zero rows sink to
     the bottom).  Raises ValueError on ragged input or bad encodings.
     """
-    rows = [list(r) for r in matrix]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        q = f.q
+    rows = list(map(list, matrix))
+    if not rows:
+        return (), 0
+    nrows, ncols = len(rows), len(rows[0])
+    if set(map(len, rows)) != {ncols}:
+        raise ValueError("ragged matrix")
+    q = f.q
+    # The distinct entries, checked at C speed: plain ints in range pass.
+    # Otherwise the per-entry rule decides, as it orders the errors.  A set
+    # merges only equal numbers, which that rule accepts or rejects alike.
+    try:
+        values = set(chain(*rows))
+    except TypeError:  # an unhashable entry
+        values = None
+    if values is None or values and not (set(map(type, values)) <= {int}
+                                         and min(values) >= 0
+                                         and max(values) < q):
         for r in rows:
             if any(not 0 <= e < q for e in r):
                 raise ValueError("entry encoding out of range")
-    else:
-        return (), 0
-    nrows, ncols = len(rows), len(rows[0])
     sub, mul, inv = f.sub, f.mul, f.inv
     pivot_row = 0
     for col in range(ncols):
-        src = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
-        if src is None:
+        for src in range(pivot_row, nrows):
+            if rows[src][col]:
+                break
+        else:
             continue
         rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
         piv = rows[pivot_row]
         c = piv[col]
         if c != 1:
-            ic = inv(c)
-            for j in range(col, ncols):
-                piv[j] = mul(ic, piv[j])
+            piv[col:] = map(mul, repeat(inv(c)), piv[col:])
         for r in range(nrows):
             if r != pivot_row and rows[r][col]:
                 factor = rows[r][col]
@@ -73,10 +81,10 @@ def rref(f: FieldDescriptor, matrix: Sequence[Sequence[int]]
         pivot_row += 1
         if pivot_row == nrows:
             break
-    return tuple(tuple(r) for r in rows), pivot_row
+    return tuple(map(tuple, rows)), pivot_row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A subspace of F^n in canonical reduced row-echelon form.
 
@@ -103,16 +111,14 @@ class Subspace:
 
 
 def _pivots_of_rref(basis: Sequence[Row]) -> tuple[int, ...]:
-    out = []
-    for row in basis:
-        out.append(next(j for j, e in enumerate(row) if e))
-    return tuple(out)
+    # a reduced row's lead is 1 with only zeros before it
+    return tuple(map(tuple.index, basis, repeat(1)))
 
 
 def subspace_from_generators(f: FieldDescriptor, n: int,
                              vectors: Iterable[Sequence[int]]) -> Subspace:
     """Canonical subspace equal to the span of the generators."""
-    rows = [tuple(v) for v in vectors]
+    rows = list(map(tuple, vectors))
     for row in rows:
         if len(row) != n:
             raise ValueError(f"generator has length {len(row)}, ambient is {n}")
@@ -124,28 +130,30 @@ def subspace_from_generators(f: FieldDescriptor, n: int,
 def subspace_from_rref(f: FieldDescriptor, n: int,
                        basis: Sequence[Sequence[int]]) -> Subspace:
     """Build a subspace from rows claimed to be in RREF; reject otherwise."""
-    rows = tuple(tuple(r) for r in basis)
+    rows = tuple(map(tuple, basis))
     q = f.q
     pivots = []
     for row in rows:
         if len(row) != n:
             raise ValueError("basis row has wrong length")
-        if any(type(e) is not int or not 0 <= e < q for e in row):
+        if row and not (set(map(type, row)) <= {int}
+                        and min(values := set(row)) >= 0 and max(values) < q):
             raise ValueError(
                 f"basis entries must be integer encodings in [0, {q}), "
                 f"got {list(row)!r}")
-        lead = next((j for j, e in enumerate(row) if e), None)
-        if lead is None:
+        first = next(filter(None, row), 0)
+        if not first:
             raise ValueError("zero row in basis")
-        if row[lead] != 1:
+        if first != 1:
             raise ValueError("pivot entry is not 1")
+        lead = row.index(1)
         if pivots and lead <= pivots[-1]:
             raise ValueError("pivot columns not strictly increasing")
         pivots.append(lead)
-    for i, pc in enumerate(pivots):
-        for r, row in enumerate(rows):
-            if r != i and row[pc] != 0:
-                raise ValueError("pivot column not cleared")
+    # a later row is 0 before its lead, so only earlier rows can fail
+    for i, pc in enumerate(pivots[1:], 1):
+        if any(map(itemgetter(pc), rows[:i])):
+            raise ValueError("pivot column not cleared")
     return Subspace(f, n, rows, tuple(pivots))
 
 
@@ -299,8 +307,10 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
     The span of the last rows, the tail block, is built once as ``width``
     columns, as long as it stays within SPAN_BLOCK vectors.  Column j of the
     span of rows r_0.., with entries u = (r_0[j], ...), is the column of
-    u[1:] shifted by each of the q multiples of u[0], joined; equal column
-    vectors, common in reduced bases, are built once.  Each combination of
+    u[1:] shifted by each of the q multiples of u[0], joined; a one-entry
+    column is the q multiples themselves.  Each distinct u, and each suffix
+    it needs, is built once, however many columns share it (in a reduced
+    basis most do), and the columns are then looked up.  Each combination of
     the remaining head coefficients is summed once, the tail columns are
     shifted by its coordinates, and the vectors are read off the columns
     with ``zip``.  While q <= 256 a column is ``bytes`` and a shift is one
@@ -352,11 +362,15 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
 
     def column(u):
         if u not in built:
-            built[u] = spread(column(u[1:]), multiples(u[0]))
+            m = multiples(u[0])  # spread(zero, m) is m itself
+            built[u] = spread(column(u[1:]), m) if len(u) > 1 else m
         return built[u]
 
-    cols = [column(u) for u in list(zip(*rows[split:])) or [()] * width]
-    del built  # the shorter columns are not needed while yielding
+    tail = list(zip(*rows[split:])) or [()] * width
+    for u in set(tail):
+        column(u)
+    cols = list(map(built.__getitem__, tail))
+    del built, column  # the shorter columns are not needed while yielding
     if not split:
         yield from zip(*cols)
         return
@@ -404,10 +418,11 @@ def json_fields(doc, what: str, *keys: str) -> list:
     if not isinstance(doc, dict):
         raise ValueError(f"malformed {what} document: expected an object, "
                          f"got {type(doc).__name__}")
-    for key in keys:
-        if key not in doc:
-            raise ValueError(f"malformed {what} document: missing key {key!r}")
-    return [doc[key] for key in keys]
+    try:
+        return [doc[key] for key in keys]
+    except KeyError as exc:
+        raise ValueError(f"malformed {what} document: missing key "
+                         f"{exc.args[0]!r}") from None
 
 
 def subspace_from_json(doc: dict) -> Subspace:
@@ -432,7 +447,7 @@ def subspaces_from_json(docs: list, ambient: FieldDescriptor | None = None
             f = field_from_json(field_doc)
         n = json_int(n, "subspace n", 1)
         if not (isinstance(basis, list)
-                and all(isinstance(r, list) for r in basis)):
+                and all(map(isinstance, basis, repeat(list)))):
             raise ValueError("malformed subspace document: basis must be a "
                              "list of rows")
         out.append(subspace_from_rref(f, n, basis))

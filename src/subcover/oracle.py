@@ -138,7 +138,7 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
         check_enumeration_size(q, n, f"verifying a {what} of GF({q})^{n}"))
     weights = [q**i for i in range(n)]  # a vector's index is sum(v_i * q**i)
     for s in members:
-        if s.field != f or s.n != n:
+        if s.field is not f and s.field != f or s.n != n:
             raise ValueError(f"{what} {member} in wrong ambient space")
         vecs = span_tuples(f, s.basis, n)
         for i in map(sum, map(map, repeat(mul), vecs, repeat(weights))):

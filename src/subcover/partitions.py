@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product, repeat
 
 from .bounds import check_enumeration_size
 from .gf import (FIELD_CACHE_SIZE, FieldDescriptor, field_from_json,
@@ -70,8 +71,14 @@ class FieldExtension:
         # Over a prime base (constants embed as themselves) or at degree 1
         # (top is the base) the coordinates are the top field's digits taken
         # m at a time, so there is no embedding table or conversion matrix.
-        self._embed = self._conv_inv = None
-        if m > 1 and degree > 1:
+        # They are read off a table of the q^c digit tuples, c = t // 3, as
+        # three chunks and the top t mod 3 digits.
+        self._embed = None
+        if m == 1 or degree == 1:
+            self._chunk = base.q ** (degree // 3)
+            self._digits = [t[::-1] for t in product(range(base.q),
+                                                      repeat=degree // 3)]
+        else:
             # the least root of the base modulus in the copy of the base
             # field inside top becomes the image of the base generator x
             y = min(a for a in top.subfield(m)
@@ -81,6 +88,12 @@ class FieldExtension:
             conv_rows = [top.digits(top.mul(b, self._embed[p**j]))
                          for b in self.power_basis for j in range(m)]
             self._conv_inv = invert_matrix(field_new(p, 1), conv_rows)
+            # The coordinates are additive, so those of w are the sum of
+            # those of its low and of its high top-field digits, tabulated.
+            self._chunk = p ** (m * degree // 2)
+            self._low = list(map(self._converted, range(self._chunk)))
+            self._high = [self._converted(v * self._chunk)
+                          for v in range(top.q // self._chunk)]
 
     def embed(self, c: int) -> int:
         """Image in the top field of a base-field encoding."""
@@ -97,15 +110,20 @@ class FieldExtension:
 
     def to_coords(self, w: int) -> tuple[int, ...]:
         """Power-basis coordinates (base-field encodings) of a top element."""
-        q, out = self.base.q, []
-        if self._conv_inv is None:
-            for _ in range(self.degree):
-                w, c = divmod(w, q)
-                out.append(c)
-            return tuple(out)
-        # the conversion turns w's digits into the coordinates' base-p
-        # digits, m per coordinate
-        p, m = self.base.p, self.base.m
+        high, low = divmod(w, self._chunk)
+        if self._embed is None:
+            q, chunk, digits = self.base.q, self._chunk, self._digits
+            high, mid = divmod(high, chunk)
+            last, third = divmod(high, chunk)
+            return (digits[low] + digits[mid] + digits[third]
+                    + (last % q, last // q)[:self.degree % 3])
+        return tuple(map(self.base.add, self._low[low], self._high[high]))
+
+    def _converted(self, w: int) -> tuple[int, ...]:
+        """``to_coords`` over an extension base by the conversion matrix,
+        which turns w's digits into the coordinates' base-p digits, m per
+        coordinate."""
+        p, m, out = self.base.p, self.base.m, []
         flat = [0] * len(self._conv_inv)
         for dl, row in zip(self.top.digits(w), self._conv_inv):
             if dl:
@@ -143,10 +161,9 @@ def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
         f.q, n, f"spread_partition(q={f.q}, n={n}, d={d})")
     ext = _extension(f, n)
     top, q = ext.top, f.q
-    # GF(q^d) inside the top field is 0 and the powers of its generator b,
-    # so 1, b, ..., b^(d-1) is a basis of it over GF(q)
-    field_elems = top.subfield(f.m * d)
-    sub_elems_top = field_elems[1:d + 1]
+    # GF(q^d)* inside the top field is the powers of its generator b, so
+    # alpha, alpha b, ..., alpha b^(d-1) is a basis of alpha GF(q^d)
+    units = top.subfield(f.m * d)[1:]
 
     expected = (size - 1) // (q**d - 1)
     covered = bytearray(size)
@@ -154,10 +171,10 @@ def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     for alpha in range(1, size):
         if covered[alpha]:
             continue
-        for e in field_elems:
-            covered[top.mul(alpha, e)] = 1
-        gens = [ext.to_coords(top.mul(alpha, b)) for b in sub_elems_top]
-        part = subspace_from_generators(f, n, gens)
+        coset = list(map(top.mul, repeat(alpha), units))
+        for e in coset:
+            covered[e] = 1
+        part = subspace_from_generators(f, n, map(ext.to_coords, coset[:d]))
         if part.dim != d:
             raise AssertionError("coset has wrong dimension")
         parts.append(part)
@@ -189,13 +206,11 @@ def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     )
     parts = [distinguished]
     basis_b = ext.power_basis[:d]
+    units = [tuple(1 if c == j else 0 for c in range(d)) for j in range(d)]
     for a in range(q**t):
-        gens = []
-        for j in range(d):
-            left = ext.to_coords(top.mul(a, basis_b[j]))
-            right = tuple(1 if c == j else 0 for c in range(d))
-            gens.append(left + right)
-        graph = subspace_from_generators(f, n, gens)
+        images = map(ext.to_coords, map(top.mul, repeat(a), basis_b))
+        graph = subspace_from_generators(f, n,
+                                         map(tuple.__add__, images, units))
         if graph.dim != d:
             raise AssertionError("graph part has wrong dimension")
         parts.append(graph)
@@ -228,6 +243,6 @@ def partition_from_json(doc: dict) -> Partition:
         raise ValueError("malformed partition document: parts must be a list")
     parts = subspaces_from_json(parts, f)
     for s in parts:
-        if s.field != f or s.n != n:
+        if s.field is not f and s.field != f or s.n != n:
             raise ValueError("partition part has mismatched ambient space")
     return Partition(f, n, d, kind, parts, literature_range=bool(lit))

@@ -187,6 +187,14 @@ class TestVerifyCommand:
         assert sorted(report["uncovered"]) == sorted(
             [f.mul(c, x) for x in lost] for c in range(1, 257))
 
+    @pytest.mark.parametrize("flag", ["--cover", "--partition"])
+    def test_deeply_nested_json_rejected(self, capsys, tmp_path, flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "verify", flag, str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed JSON") and "Traceback" not in err
+
     def test_partition_file(self, capsys, tmp_path):
         _, out, _ = run(capsys, "partition", "--p", "2", "--n", "4",
                         "--d", "2", "--kind", "mixed")
@@ -558,6 +566,12 @@ class TestCountableCommand:
     def test_zero_scalar_rejected(self, capsys):
         code, _, err = run(capsys, "countable", "--support", '{"3":"0"}')
         assert code == 1 and "error" in err
+
+    def test_deeply_nested_support_rejected(self, capsys):
+        code, out, err = run(capsys, "countable", "--support",
+                             "[" * 20_000 + "]" * 20_000)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed support JSON")
 
 
 class TestLimitCommand:

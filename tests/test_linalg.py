@@ -349,6 +349,135 @@ def test_dimension_formula_property(n, rows_s, rows_t):
     assert s.dim + t.dim == intersect(s, t).dim + subspace_sum(s, t).dim
 
 
+def _ref_rref(f, matrix):
+    """rref with one Python check per entry, the rules the fast checks
+    must keep."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return (), 0
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise ValueError("ragged matrix")
+    for r in rows:
+        if any(not 0 <= e < f.q for e in r):
+            raise ValueError("entry encoding out of range")
+    nrows, pivot_row = len(rows), 0
+    for col in range(width):
+        src = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
+        if src is None:
+            continue
+        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
+        piv = rows[pivot_row]
+        if piv[col] != 1:
+            ic = f.inv(piv[col])
+            for j in range(col, width):
+                piv[j] = f.mul(ic, piv[j])
+        for r in range(nrows):
+            if r != pivot_row and rows[r][col]:
+                factor, row = rows[r][col], rows[r]
+                for j in range(col, width):
+                    if piv[j]:
+                        row[j] = f.sub(row[j], f.mul(factor, piv[j]))
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return tuple(tuple(r) for r in rows), pivot_row
+
+
+def _ref_from_generators(f, n, vectors):
+    rows = [tuple(v) for v in vectors]
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"generator has length {len(row)}, ambient is {n}")
+    reduced, rank = _ref_rref(f, rows)
+    basis = reduced[:rank]
+    return basis, tuple(next(j for j, e in enumerate(r) if e) for r in basis)
+
+
+def _ref_from_rref(f, n, basis):
+    rows = tuple(tuple(r) for r in basis)
+    pivots = []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("basis row has wrong length")
+        if any(type(e) is not int or not 0 <= e < f.q for e in row):
+            raise ValueError(
+                f"basis entries must be integer encodings in [0, {f.q}), "
+                f"got {list(row)!r}")
+        lead = next((j for j, e in enumerate(row) if e), None)
+        if lead is None:
+            raise ValueError("zero row in basis")
+        if row[lead] != 1:
+            raise ValueError("pivot entry is not 1")
+        if pivots and lead <= pivots[-1]:
+            raise ValueError("pivot columns not strictly increasing")
+        pivots.append(lead)
+    for i, pc in enumerate(pivots):
+        for r, row in enumerate(rows):
+            if r != i and row[pc] != 0:
+                raise ValueError("pivot column not cleared")
+    return rows, tuple(pivots)
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of what was raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, linalg.Subspace):
+        return out.basis, out.pivots
+    return out
+
+
+@st.composite
+def _suspect_matrices(draw):
+    """Rows over GF(2), GF(3) or GF(4) whose entries may be out of range or
+    not ints, some ragged, some of width 0, some a valid RREF with one
+    entry replaced."""
+    f = draw(st.sampled_from([F2, F3, F4]))
+    n = draw(st.integers(0, 4))
+    entry = st.one_of(
+        st.integers(0, f.q - 1),
+        st.sampled_from([-1, f.q, f.q + 1, True, False, 0.5, None]))
+    if n and draw(st.booleans()):
+        gens = draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n,
+                                      max_size=n), max_size=3))
+        rows = [list(r) for r in subspace_from_generators(f, n, gens).basis]
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(
+                st.integers(0, n - 1))
+            rows[i][j] = draw(entry)
+    else:
+        width = st.one_of(st.just(n), st.integers(0, 5))
+        rows = draw(st.lists(
+            width.flatmap(lambda w: st.lists(entry, min_size=w, max_size=w)),
+            max_size=3))
+    return f, n, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_suspect_matrices())
+def test_fast_checks_accept_and_reject_as_the_per_entry_rules(case):
+    f, n, rows = case
+    assert _outcome(rref, f, rows) == _outcome(_ref_rref, f, rows)
+    assert (_outcome(subspace_from_generators, f, n, rows)
+            == _outcome(_ref_from_generators, f, n, rows))
+    assert (_outcome(linalg.subspace_from_rref, f, n, rows)
+            == _outcome(_ref_from_rref, f, n, rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F2, F3, F4, field_new(257, 1)]), st.integers(1, 6),
+       st.data())
+def test_pivots_are_the_leading_columns(f, n, data):
+    gens = data.draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n,
+                                       max_size=n), max_size=n + 1))
+    s = subspace_from_generators(f, n, gens)
+    assert s.pivots == tuple(next(j for j, e in enumerate(row) if e)
+                             for row in s.basis)
+
+
 class TestMatrixInverse:
     def test_round_trip(self):
         rng = random.Random(31)

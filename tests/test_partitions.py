@@ -30,6 +30,7 @@ def nonzero_count(partition):
 class TestFieldExtension:
     @pytest.mark.parametrize("base,deg", [
         (F2, 4), (F3, 3), (F4, 2), (F8, 2), (F9, 2), (F2, 1), (F4, 1),
+        (F2, 14), (F4, 7),
     ])
     def test_coordinate_round_trip(self, base, deg):
         ext = FieldExtension(base, deg)
@@ -42,6 +43,7 @@ class TestFieldExtension:
 
     @pytest.mark.parametrize("base,deg", [
         (F2, 4), (F3, 3), (F2, 1), (F4, 1), (F9, 1),
+        (F2, 14), (F3, 9), (field_new(11, 1), 4),
     ])
     def test_identity_conversion_gives_the_top_digits(self, base, deg):
         # over a prime base or at degree 1 the coordinates are the top
