@@ -44,20 +44,15 @@ def _parse_rationals(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_nu(args) -> int:
-    if args.infinite_field is not None and args.p is not None:
+    if args.infinite_field and args.p is not None:
         raise CliError("give either --p/--m or --infinite-field, not both")
     if args.infinite_dim and args.n is not None:
         raise CliError("give either --n or --infinite-dim, not both")
-    if args.infinite_field is not None:
-        field = None
-        label = args.infinite_field
-    else:
-        field = _field_from_args(args)
-        label = "Q"
+    field = None if args.infinite_field else _field_from_args(args)
     dim = None if args.infinite_dim else args.n
     if dim is None and not args.infinite_dim:
         raise CliError("--n or --infinite-dim is required")
-    spec = SpaceSpec(field, dim, label)
+    spec = SpaceSpec(field, dim)
     card = covers.nu(spec, args.k)
     if card.kind == covers.FINITE:
         print(card.count)
@@ -70,33 +65,27 @@ def _cmd_nu(args) -> int:
     return 0
 
 
-def _cmd_cover(args) -> int:
-    f = _field_from_args(args)
-    cover = covers.cover_finite(f, args.n, args.k)
-    doc = covers.cover_to_json(cover)
-    if args.verify:
-        report = oracle.verify_cover(cover)
+def _print_built(doc: dict, report) -> int:
+    """Print a construction's document, with its verification report when
+    one was asked for, and return the exit code."""
+    if report is not None:
         doc["verification"] = report.to_json()
-        print(_dump(doc))
-        return 0 if report.ok else 2
     print(_dump(doc))
-    return 0
+    return 0 if report is None or report.ok else 2
+
+
+def _cmd_cover(args) -> int:
+    cover = covers.cover_finite(_field_from_args(args), args.n, args.k)
+    return _print_built(covers.cover_to_json(cover),
+                        oracle.verify_cover(cover) if args.verify else None)
 
 
 def _cmd_partition(args) -> int:
-    f = _field_from_args(args)
-    if args.kind == "spread":
-        part = partitions.spread_partition(f, args.n, args.d)
-    else:
-        part = partitions.mixed_partition(f, args.n, args.d)
-    doc = partitions.partition_to_json(part)
-    if args.verify:
-        report = oracle.verify_partition(part)
-        doc["verification"] = report.to_json()
-        print(_dump(doc))
-        return 0 if report.ok else 2
-    print(_dump(doc))
-    return 0
+    build = (partitions.spread_partition if args.kind == "spread"
+             else partitions.mixed_partition)
+    part = build(_field_from_args(args), args.n, args.d)
+    return _print_built(partitions.partition_to_json(part),
+                        oracle.verify_partition(part) if args.verify else None)
 
 
 def _cmd_verify(args) -> int:
@@ -183,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     p.add_argument("--n", type=int, help="ambient dimension")
     p.add_argument("--k", type=int, required=True, help="codimension")
-    p.add_argument("--infinite-field", nargs="?", const="Q", default=None,
-                   metavar="LABEL", help="use an infinite field")
+    p.add_argument("--infinite-field", action="store_true",
+                   help="use an infinite field")
     p.add_argument("--infinite-dim", action="store_true",
                    help="infinite-dimensional ambient space")
     p.set_defaults(func=_cmd_nu)

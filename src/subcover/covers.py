@@ -20,6 +20,7 @@ from .gf import FieldDescriptor, field_from_json, field_to_json
 from .linalg import (
     LinearQuotient,
     Subspace,
+    full_subspace,
     json_fields,
     json_int,
     lift,
@@ -48,12 +49,11 @@ def minimal_cover_count(q: int, n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """An ambient vector space: field either a concrete finite field or a
-    labelled infinite field; dimension either finite or infinite (None)."""
+    """An ambient vector space: field either a concrete finite field or an
+    infinite field (None); dimension either finite or infinite (None)."""
 
     field: FieldDescriptor | None
     dim: int | None
-    field_label: str = "Q"
 
     def __post_init__(self):
         if self.dim is not None and self.dim < 1:
@@ -68,12 +68,12 @@ class SpaceSpec:
         return cls(f, None)
 
     @classmethod
-    def infinite_field(cls, n: int, label: str = "Q") -> "SpaceSpec":
-        return cls(None, n, label)
+    def infinite_field(cls, n: int) -> "SpaceSpec":
+        return cls(None, n)
 
     @classmethod
-    def doubly_infinite(cls, label: str = "Q") -> "SpaceSpec":
-        return cls(None, None, label)
+    def doubly_infinite(cls) -> "SpaceSpec":
+        return cls(None, None)
 
 
 FINITE = "finite"
@@ -285,36 +285,30 @@ def cover_finite(f: FieldDescriptor, n: int, k: int) -> Cover:
     """Construct the minimal cover of F^n by codimension-k subspaces.
 
     Exactly ceil((q^n - 1)/(q^(n-k) - 1)) subspaces, each of dimension
-    n - k.  When (n-k) | n this is a spread; otherwise mixed partitions
-    peel off q^(n-d), q^(n-2d), ... subspaces until the leftover dimension
-    r sits strictly between d and 2d, and the tail covers that leftover by
-    lifting a spread of a 2(r-d)-dimensional quotient.
+    n - k, built step by step from ``cover_plan``.  When (n-k) | n this is
+    a spread; otherwise mixed partitions peel off q^(n-d), q^(n-2d), ...
+    subspaces until the leftover dimension r sits strictly between d and
+    2d, and the tail covers that leftover by lifting a spread of a
+    2(r-d)-dimensional quotient.
     """
     check_enumeration_size(f.q, n, f"cover_finite(q={f.q}, n={n}, k={k})")
     plan = cover_plan(f.q, n, k)
-    d = n - k
-    if plan.kind == "spread":
-        parts = spread_partition(f, n, d).parts
-        return Cover(f, n, k, parts, plan)
-
-    # each mixed partition lives on the first cur coordinates, the
-    # distinguished part of the one before
     subs: list[Subspace] = []
-    cur = n
-    while cur > 2 * d:
-        mp = mixed_partition(f, cur, d)
-        subs.extend(_pad(graph, n) for graph in mp.parts[1:])
-        cur -= d
-
-    r = cur
-    v0 = subspace_from_generators(
-        f, r,
-        [tuple(1 if j == r - 1 - i else 0 for j in range(r))
-         for i in range(2 * d - r)],
-    )
-    quot = quotient(v0)
-    tail_spread = spread_partition(f, 2 * (r - d), r - d)
-    subs.extend(_pad(lift(quot, part), n) for part in tail_spread.parts)
+    for step in plan.steps:
+        dim, d = step.ambient_dim, step.block_dim
+        if step.kind == "spread":
+            subs.extend(spread_partition(f, dim, d).parts)
+        elif step.kind == "peel":
+            # each mixed partition lives on the first dim coordinates, the
+            # distinguished part of the one before
+            mp = mixed_partition(f, dim, d)
+            subs.extend(_pad(graph, n) for graph in mp.parts[1:])
+        else:  # the tail: quotient by the last kernel_dim unit vectors
+            units = full_subspace(f, dim).basis[dim - step.kernel_dim:]
+            quot = quotient(subspace_from_generators(f, dim, units))
+            tail_spread = spread_partition(f, step.quotient_dim,
+                                           d - step.kernel_dim)
+            subs.extend(_pad(lift(quot, part), n) for part in tail_spread.parts)
 
     if len(subs) != plan.predicted_count:
         raise AssertionError("materialized count differs from the plan")
@@ -402,15 +396,13 @@ class MembershipWitness:
 def projective_assign(
     v: Sequence[Fraction | int | str],
     positions: Sequence[int],
-    rest: Sequence[int] | None = None,
 ) -> tuple[ProjectiveIndex, MembershipWitness]:
     """Assign a vector to the member of the standard codimension-k cover
     (indexed by projective k-space) that contains it.
 
-    ``positions`` are the k+1 designated coordinate indices; ``rest``, if
-    given, must be exactly the complement.  The witness certifies membership
-    by exact rational arithmetic.  Vectors vanishing on every designated
-    coordinate get the conventional index (0,...,0,1).
+    ``positions`` are the k+1 designated coordinate indices.  The witness
+    certifies membership by exact rational arithmetic.  Vectors vanishing
+    on every designated coordinate get the conventional index (0,...,0,1).
     """
     vv = tuple(Fraction(x) for x in v)
     pos = tuple(positions)
@@ -418,9 +410,6 @@ def projective_assign(
         raise ValueError("positions must be at least 2 distinct indices")
     if any(not 0 <= p < len(vv) for p in pos):
         raise ValueError("position out of range")
-    complement = tuple(sorted(set(range(len(vv))) - set(pos)))
-    if rest is not None and tuple(sorted(rest)) != complement:
-        raise ValueError("rest is not the complement of positions")
     k = len(pos) - 1
 
     beta = [vv[p] for p in pos]

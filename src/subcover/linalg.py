@@ -182,22 +182,14 @@ def contains(s: Subspace, v: Sequence[int]) -> bool:
 
 
 def kernel(f: FieldDescriptor, rows: Sequence[Row], n: int) -> Subspace:
-    """Null space {x in F^n : row . x = 0 for every row}."""
-    reduced, rank = rref(f, rows)
-    reduced = reduced[:rank]
-    pivots = _pivots_of_rref(reduced)
-    pivot_set = set(pivots)
-    neg = f.neg
-    gens = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        w = [0] * n
-        w[free] = 1
-        for i, pc in enumerate(pivots):
-            w[pc] = neg(reduced[i][free])
-        gens.append(tuple(w))
-    return subspace_from_generators(f, n, gens)
+    """Null space {x in F^n : row . x = 0 for every row}.  With v0 the
+    rows' span, the coordinate map of ``quotient(v0)`` has n - dim v0
+    independent rows, each killing v0, so they span it; at full rank it is
+    zero."""
+    v0 = subspace_from_generators(f, n, rows)
+    if v0.dim == n:
+        return zero_subspace(f, n)
+    return subspace_from_generators(f, n, quotient(v0).coordinate_map)
 
 
 def annihilator(s: Subspace) -> Subspace:

@@ -3,16 +3,16 @@
 Covers and partitions are checked by enumerating every vector of every
 claimed subspace from its basis; minimal cover sizes are recomputed by an
 exact set-cover search over projective points that deepens from the
-counting bound ceil(points / points per subspace), with no hint and no
-heuristic pass, and prunes with ceil(remaining points / points per
-subspace).  The search is iterative and branches on the lowest uncovered
-point: GL(n, q) is transitive on points, so every point lies in
-equally many candidates and the lowest one is as constrained as any.  Its
-candidates are built per pivot tuple, as the product of each RREF row's
-possible rows.  Their point masks are not enumerated vector by vector: a
-point's position in ``projective_points`` is linear in its coordinates, so
-each candidate's point indices are a sum of per-column tables held as
-packed lanes of one int (see ``_point_masks``).
+counting bound ceil(points / points per subspace) and prunes with
+ceil(remaining points / points per subspace).  The search is iterative
+and branches on the lowest uncovered point: GL(n, q) is transitive on
+points, so every point lies in equally many candidates and the lowest one
+is as constrained as any.  Its candidates are built per pivot tuple, as
+the product of each RREF row's possible rows.  Their point masks are not
+enumerated vector by vector: a point's position in ``projective_points``
+is linear in its coordinates, so each candidate's point indices are a sum
+of per-column tables held as packed lanes of one int (see
+``_point_masks``).
 
 Shared with the construction code: the ``Subspace`` type and the field
 descriptor, whose ``add`` and ``mul`` the search calls and whose
@@ -22,7 +22,9 @@ and for multiplication, q <= 256) the span enumerator
 do not call ``span_tuples``; they read their subfields off the field's
 log/antilog tables.  The counting bound is computed here, not taken from
 the constructions' closed form; only the check that a cover's provenance
-is its plan (``covers.follows_plan``) reads ``cover_plan``.
+is its plan (``covers.follows_plan``) reads ``cover_plan``, and only the
+check that a partition's part dimensions are its kind's
+(``partitions.follows_kind``) reads the constructions' part counts.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .bounds import MAX_MASK_BITS, MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, follows_plan
 from .gf import FieldDescriptor
 from .linalg import Row, Subspace, span_tuples
-from .partitions import Partition
+from .partitions import Partition, follows_kind
 
 
 def gaussian_binomial(n: int, d: int, q: int) -> int:
@@ -147,33 +149,40 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
     return hits
 
 
+def _violations(f: FieldDescriptor, n: int, members, what: str,
+                member: str, exact: bool) -> tuple[tuple[Row, ...], ...]:
+    """The nonzero vectors no member holds and, when ``exact``, those more
+    than one member holds (hits saturate at 2), in increasing order."""
+    hits = _hit_counts(f, n, members, what, member)
+
+    def where(count: int):
+        i = hits.find(count, 1)
+        while i >= 0:
+            yield _index_vector(i, f.q, n)
+            i = hits.find(count, i + 1)
+
+    return tuple(where(0)), tuple(where(2)) if exact else ()
+
+
 def verify_cover(c: Cover) -> VerificationReport:
     """Check that every nonzero vector of F^n lies in at least one cover
     subspace, by enumerating each subspace from its basis, and that the
     cover's count and provenance follow its plan (``covers.follows_plan``)."""
-    n, q = c.n, c.field.q
-    hits = _hit_counts(c.field, n, c.subspaces, "cover", "subspace")
-    uncovered = tuple(
-        _index_vector(i, q, n) for i in range(1, q**n) if not hits[i]
-    )
+    uncovered, _ = _violations(c.field, c.n, c.subspaces, "cover",
+                               "subspace", exact=False)
     ok = not uncovered and follows_plan(c)
-    return VerificationReport(ok, uncovered, (), q**n - 1)
+    return VerificationReport(ok, uncovered, (), c.field.q**c.n - 1)
 
 
 def verify_partition(p: Partition) -> VerificationReport:
     """Check that every nonzero vector lies in exactly one part (which also
-    certifies that all pairwise intersections are trivial)."""
-    n, q = p.n, p.field.q
-    hits = _hit_counts(p.field, n, p.parts, "partition", "part")
-    uncovered = []
-    doubled = []
-    for i in range(1, q**n):
-        if hits[i] == 0:
-            uncovered.append(_index_vector(i, q, n))
-        elif hits[i] > 1:
-            doubled.append(_index_vector(i, q, n))
-    ok = not uncovered and not doubled
-    return VerificationReport(ok, tuple(uncovered), tuple(doubled), q**n - 1)
+    certifies that all pairwise intersections are trivial), and that the
+    part dimensions and ``literature_range`` are those of its kind
+    (``partitions.follows_kind``)."""
+    uncovered, doubled = _violations(p.field, p.n, p.parts, "partition",
+                                     "part", exact=True)
+    ok = not uncovered and not doubled and follows_kind(p)
+    return VerificationReport(ok, uncovered, doubled, p.field.q**p.n - 1)
 
 
 def _index_weights(q: int, n: int) -> tuple[list[int], list[int]]:

@@ -17,9 +17,11 @@ Two constructions are provided:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat
+from operator import mul
 
 from .bounds import check_enumeration_size
 from .gf import (FIELD_CACHE_SIZE, FieldDescriptor, field_from_json,
@@ -29,6 +31,7 @@ from .linalg import (
     invert_matrix,
     json_fields,
     json_int,
+    linear_combination,
     span_tuples,  # unused; perfbench's tests read partitions.span_tuples
     subspace_from_generators,
     subspaces_from_json,
@@ -56,7 +59,10 @@ class FieldExtension:
 
     Exposes the big field ``top`` = GF(p^(m*t)), the embedding of the base
     field into it, and exact conversions between power-basis coordinate
-    tuples (length t over the base) and top-field encodings.
+    tuples (length t over the base) and top-field encodings.  The
+    coordinates of w are the base-q digits of one integer flat(w): w itself
+    over a prime base or at degree 1, else the GF(p)-linear image of w that
+    takes x^i times the embedded base element p^j to p^(i*m + j).
     """
 
     def __init__(self, base: FieldDescriptor, degree: int):
@@ -68,32 +74,35 @@ class FieldExtension:
         self.top = top = field_new(p, m * degree)
         # x^i, below the top field's degree, has encoding p^i
         self.power_basis = tuple(p**i for i in range(degree))
-        # Over a prime base (constants embed as themselves) or at degree 1
-        # (top is the base) the coordinates are the top field's digits taken
-        # m at a time, so there is no embedding table or conversion matrix.
-        # They are read off a table of the q^c digit tuples, c = t // 3, as
-        # three chunks and the top t mod 3 digits.
-        self._embed = None
-        if m == 1 or degree == 1:
-            self._chunk = base.q ** (degree // 3)
-            self._digits = [t[::-1] for t in product(range(base.q),
-                                                      repeat=degree // 3)]
-        else:
+        # The coordinates are read off a table of the q^c digit tuples of
+        # flat(w), c = t // 3, as three chunks and the top t mod 3 digits.
+        self._chunk = base.q ** (degree // 3)
+        self._digits = [t[::-1] for t in product(range(base.q),
+                                                  repeat=degree // 3)]
+        self._embed = self._low = None
+        if m > 1 and degree > 1:
             # the least root of the base modulus in the copy of the base
             # field inside top becomes the image of the base generator x
             y = min(a for a in top.subfield(m)
                     if _eval_poly(top, base.modulus, a) == 0)
             self._embed = tuple(_eval_poly(top, base.digits(c), y)
                                 for c in range(base.q))
-            conv_rows = [top.digits(top.mul(b, self._embed[p**j]))
-                         for b in self.power_basis for j in range(m)]
-            self._conv_inv = invert_matrix(field_new(p, 1), conv_rows)
-            # The coordinates are additive, so those of w are the sum of
-            # those of its low and of its high top-field digits, tabulated.
-            self._chunk = p ** (m * degree // 2)
-            self._low = list(map(self._converted, range(self._chunk)))
-            self._high = [self._converted(v * self._chunk)
-                          for v in range(top.q // self._chunk)]
+            gf_p = field_new(p, 1)
+            conv_inv = invert_matrix(gf_p, [
+                top.digits(top.mul(b, self._embed[p**j]))
+                for b in self.power_basis for j in range(m)])
+            weights = [p**i for i in range(m * degree)]
+
+            def flat(w):
+                return sum(map(mul, linear_combination(
+                    gf_p, top.digits(w), conv_inv), weights))
+
+            # flat is GF(p)-linear, so flat(w) is the sum of flat of w's low
+            # and of its high top-field digits, tabulated as ints; top.add
+            # adds base-p digits mod p, which is that sum.
+            self._half = half = p ** (m * degree // 2)
+            self._low = list(map(flat, range(half)))
+            self._high = list(map(flat, range(0, top.q, half)))
 
     def embed(self, c: int) -> int:
         """Image in the top field of a base-field encoding."""
@@ -109,33 +118,17 @@ class FieldExtension:
         return w
 
     def to_coords(self, w: int) -> tuple[int, ...]:
-        """Power-basis coordinates (base-field encodings) of a top element."""
-        high, low = divmod(w, self._chunk)
-        if self._embed is None:
-            q, chunk, digits = self.base.q, self._chunk, self._digits
-            high, mid = divmod(high, chunk)
-            last, third = divmod(high, chunk)
-            return (digits[low] + digits[mid] + digits[third]
-                    + (last % q, last // q)[:self.degree % 3])
-        return tuple(map(self.base.add, self._low[low], self._high[high]))
-
-    def _converted(self, w: int) -> tuple[int, ...]:
-        """``to_coords`` over an extension base by the conversion matrix,
-        which turns w's digits into the coordinates' base-p digits, m per
-        coordinate."""
-        p, m, out = self.base.p, self.base.m, []
-        flat = [0] * len(self._conv_inv)
-        for dl, row in zip(self.top.digits(w), self._conv_inv):
-            if dl:
-                for k, c in enumerate(row):
-                    if c:
-                        flat[k] = (flat[k] + dl * c) % p
-        for i in range(0, len(flat), m):
-            enc = 0
-            for c in reversed(flat[i:i + m]):
-                enc = enc * p + c
-            out.append(enc)
-        return tuple(out)
+        """Power-basis coordinates (base-field encodings) of a top element:
+        the base-q digits of flat(w)."""
+        if self._low is not None:
+            high, low = divmod(w, self._half)
+            w = self.top.add(self._low[low], self._high[high])
+        q, chunk, digits = self.base.q, self._chunk, self._digits
+        high, low = divmod(w, chunk)
+        high, mid = divmod(high, chunk)
+        last, third = divmod(high, chunk)
+        return (digits[low] + digits[mid] + digits[third]
+                + (last % q, last // q)[:self.degree % 3])
 
 
 def _eval_poly(f: FieldDescriptor, coeffs, a: int) -> int:
@@ -220,6 +213,27 @@ def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     )
 
 
+def follows_kind(p: Partition) -> bool:
+    """Whether the multiset of part dimensions and ``literature_range`` are
+    those the partition's kind constructs for its n, d and q: a spread
+    needs d | n and has (q^n - 1)/(q^d - 1) parts of dimension d, and a
+    mixed partition needs 1 <= d <= n/2 and has one part of dimension n - d
+    and q^(n-d) of dimension d.  The order of the parts is not read."""
+    n, d, q = p.n, p.d, p.field.q
+    if p.kind == "spread":
+        if not (1 <= d <= n and n % d == 0):
+            return False
+        want = Counter({d: (q**n - 1) // (q**d - 1)})
+        literature = True
+    else:
+        if not 1 <= d <= n - d:
+            return False
+        want = Counter({n - d: 1}) + Counter({d: q ** (n - d)})
+        literature = d > 1 and 2 * d < n
+    return (p.literature_range == literature
+            and Counter(s.dim for s in p.parts) == want)
+
+
 def partition_to_json(p: Partition) -> dict:
     return {
         "kind": p.kind,
@@ -239,10 +253,13 @@ def partition_from_json(doc: dict) -> Partition:
     d = json_int(d, "d")
     if kind not in ("spread", "mixed"):
         raise ValueError(f"unknown partition kind {kind!r}")
+    if not isinstance(lit, bool):
+        raise ValueError("literature_range must be a boolean, got "
+                         f"{type(lit).__name__}")
     if not isinstance(parts, list):
         raise ValueError("malformed partition document: parts must be a list")
     parts = subspaces_from_json(parts, f)
     for s in parts:
         if s.field is not f and s.field != f or s.n != n:
             raise ValueError("partition part has mismatched ambient space")
-    return Partition(f, n, d, kind, parts, literature_range=bool(lit))
+    return Partition(f, n, d, kind, parts, literature_range=lit)

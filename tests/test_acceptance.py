@@ -251,14 +251,14 @@ def test_nu_case_split_all_four_branches():
     finite = nu(SpaceSpec.finite(f3, 4), 2)
     assert finite.kind == "finite" and finite.count == 10
 
-    countable = nu(SpaceSpec.doubly_infinite("R"), 2)
+    countable = nu(SpaceSpec.doubly_infinite(), 2)
     assert countable.kind == "countably-infinite"
 
     fin_field_inf_dim = nu(SpaceSpec.finite_field_infinite_dim(f3), 2)
     assert fin_field_inf_dim.kind == "field-power-plus-point"
     assert fin_field_inf_dim.counted(3) == 3**2 + 1
 
-    inf_field_fin_dim = nu(SpaceSpec.infinite_field(9, "Q"), 2)
+    inf_field_fin_dim = nu(SpaceSpec.infinite_field(9), 2)
     assert inf_field_fin_dim.kind == "field-power-plus-point"
     assert inf_field_fin_dim.counted() is None
     print("ACCEPTANCE (case split): PASS - all four classifier branches")

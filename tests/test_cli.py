@@ -58,6 +58,11 @@ class TestNu:
         assert code == 0
         assert json.loads(out) == {"kind": "countably-infinite"}
 
+    def test_infinite_field_takes_no_label(self, capsys):
+        code, out, err = run(capsys, "nu", "--infinite-field", "R",
+                             "--infinite-dim", "--k", "1")
+        assert code == 1 and out == "" and "error" in err
+
     def test_conflicting_flags(self, capsys):
         code, _, err = run(capsys, "nu", "--p", "2", "--infinite-field",
                            "--n", "3", "--k", "1")
@@ -202,6 +207,39 @@ class TestVerifyCommand:
         path.write_text(out)
         code, out2, _ = run(capsys, "verify", "--partition", str(path))
         assert code == 0 and json.loads(out2)["ok"] is True
+
+    # a valid spread relabelled: every vector still lies in exactly one
+    # part, but the part dimensions or literature_range are not the kind's
+    @pytest.mark.parametrize("n,edit", [
+        (6, {"kind": "mixed"}),  # 21 planes, not a 4-space and 16 planes
+        (4, {"d": 1}),  # 5 planes, not 15 lines
+        (4, {"literature_range": False}),
+        (4, {"kind": "mixed", "d": 1, "literature_range": False}),
+    ], ids=["kind", "d", "literature_range", "all"])
+    def test_relabelled_partition_exits_2(self, capsys, tmp_path, n, edit):
+        _, out, _ = run(capsys, "partition", "--p", "2", "--n", str(n),
+                        "--d", "2", "--kind", "spread")
+        doc = json.loads(out)
+        doc.update(edit)
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps(doc))
+        code, out2, _ = run(capsys, "verify", "--partition", str(path))
+        assert code == 2
+        assert json.loads(out2) == {"ok": False, "uncovered": [],
+                                    "double_covered": [], "checked": 2**n - 1}
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, []])
+    def test_non_boolean_literature_range_rejected(self, capsys, tmp_path,
+                                                   value):
+        _, out, _ = run(capsys, "partition", "--p", "2", "--n", "4",
+                        "--d", "2", "--kind", "spread")
+        doc = json.loads(out)
+        doc["literature_range"] = value
+        path = tmp_path / "literature.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--partition", str(path))
+        assert code == 1 and out2 == ""
+        assert err.startswith("error: literature_range must be a boolean")
 
     def test_tampered_basis_rejected(self, capsys, tmp_path):
         _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")

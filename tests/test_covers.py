@@ -63,7 +63,7 @@ class TestNu:
             assert got.counted(3) == 3**k + 1
 
     def test_infinite_field_finite_dim(self):
-        got = nu(SpaceSpec.infinite_field(10, "R"), 4)
+        got = nu(SpaceSpec.infinite_field(10), 4)
         assert got.kind == FIELD_POWER_PLUS_POINT and got.k == 4
         assert got.counted() is None
 
@@ -367,8 +367,6 @@ class TestProjectiveAssign:
             projective_assign((1, 2, 3), (0, 5))
         with pytest.raises(ValueError):
             projective_assign((1, 2, 3), (0,))
-        with pytest.raises(ValueError):
-            projective_assign((1, 2, 3), (0, 1), rest=(1, 2))
 
 
 class TestCountableCover:

@@ -16,6 +16,7 @@ from subcover.linalg import (
     full_subspace,
     intersect,
     invert_matrix,
+    kernel,
     lift,
     linear_combination,
     project,
@@ -200,6 +201,40 @@ class TestIntersectAndSum:
             intersect(zero_subspace(F2, 2), zero_subspace(F2, 3))
         with pytest.raises(ValueError):
             subspace_sum(zero_subspace(F2, 2), zero_subspace(F3, 2))
+
+
+class TestKernel:
+    @staticmethod
+    def dot(f, a, b):
+        acc = 0
+        for x, y in zip(a, b):
+            acc = f.add(acc, f.mul(x, y))
+        return acc
+
+    @pytest.mark.parametrize("f", [F2, F3, F4], ids=repr)
+    def test_kernel_is_the_brute_force_null_space(self, f):
+        # kernel(f, rows, n) against {x : row . x = 0 for every row}, over
+        # all of F^n: no rows, the identity, a random full-rank matrix and
+        # random row sets of up to n + 2 rows
+        rng = random.Random(29)
+        cases = []
+        for n in range(1, 5):
+            identity = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            while True:
+                square = [tuple(rng.randrange(f.q) for _ in range(n))
+                          for _ in range(n)]
+                if rref(f, square)[1] == n:
+                    break
+            cases += [(n, []), (n, identity), (n, square)]
+            cases += [(n, [tuple(rng.randrange(f.q) for _ in range(n))
+                           for _ in range(rng.randrange(n + 3))])
+                      for _ in range(12)]
+        for n, rows in cases:
+            got = kernel(f, rows, n)
+            want = {x for x in product(range(f.q), repeat=n)
+                    if all(self.dot(f, row, x) == 0 for row in rows)}
+            assert set(span_tuples(f, got.basis, n)) == want, (n, rows)
+            assert got.dim == n - rref(f, rows)[1]
 
 
 class TestQuotientProjectLift:

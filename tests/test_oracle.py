@@ -2,6 +2,7 @@
 exact minimality search."""
 
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -145,6 +146,23 @@ class TestVerify:
 
     def test_mixed_partition_passes(self):
         assert verify_partition(mixed_partition(F2, 5, 2)).ok
+
+    @pytest.mark.parametrize("build,n,d", [
+        (mixed_partition, 5, 2), (mixed_partition, 4, 2),
+        (spread_partition, 6, 3)])
+    def test_part_order_is_not_read(self, build, n, d):
+        # the distinguished part of a mixed partition need not come first
+        p = build(F2, n, d)
+        for parts in (p.parts[::-1], p.parts[1:] + p.parts[:1]):
+            assert verify_partition(replace(p, parts=parts)).ok
+
+    @pytest.mark.parametrize("edit", [
+        {"kind": "mixed"}, {"d": 1}, {"d": 0}, {"d": 4},
+        {"literature_range": False}])
+    def test_relabelled_spread_fails(self, edit):
+        report = verify_partition(replace(spread_partition(F2, 4, 2), **edit))
+        assert not report.ok
+        assert report.uncovered == report.double_covered == ()
 
     def test_duplicate_part_reports_double_coverage(self):
         p = spread_partition(F2, 2, 1)

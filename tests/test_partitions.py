@@ -31,6 +31,8 @@ class TestFieldExtension:
     @pytest.mark.parametrize("base,deg", [
         (F2, 4), (F3, 3), (F4, 2), (F8, 2), (F9, 2), (F2, 1), (F4, 1),
         (F2, 14), (F4, 7),
+        # odd characteristic over extension bases, degree >= 3 and odd m*t
+        (F9, 3), (field_new(5, 2), 2), (field_new(3, 3), 3), (F8, 3),
     ])
     def test_coordinate_round_trip(self, base, deg):
         ext = FieldExtension(base, deg)
