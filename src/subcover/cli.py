@@ -15,15 +15,11 @@ from . import covers, gf, oracle, partitions
 from .covers import SpaceSpec
 
 
-class CliError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; 2 is reserved for
     # verification failures here, so route usage errors through exit code 1.
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _dump(doc) -> str:
@@ -32,7 +28,7 @@ def _dump(doc) -> str:
 
 def _field_from_args(args) -> gf.FieldDescriptor:
     if args.p is None:
-        raise CliError("--p is required for a finite field")
+        raise ValueError("--p is required for a finite field")
     return gf.field_new(args.p, args.m)
 
 
@@ -40,18 +36,18 @@ def _parse_rationals(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad rational vector {text!r}: {exc}") from exc
+        raise ValueError(f"bad rational vector {text!r}: {exc}") from exc
 
 
 def _cmd_nu(args) -> int:
     if args.infinite_field and args.p is not None:
-        raise CliError("give either --p/--m or --infinite-field, not both")
+        raise ValueError("give either --p/--m or --infinite-field, not both")
     if args.infinite_dim and args.n is not None:
-        raise CliError("give either --n or --infinite-dim, not both")
+        raise ValueError("give either --n or --infinite-dim, not both")
     field = None if args.infinite_field else _field_from_args(args)
     dim = None if args.infinite_dim else args.n
     if dim is None and not args.infinite_dim:
-        raise CliError("--n or --infinite-dim is required")
+        raise ValueError("--n or --infinite-dim is required")
     spec = SpaceSpec(field, dim)
     card = covers.nu(spec, args.k)
     if card.kind == covers.FINITE:
@@ -90,15 +86,15 @@ def _cmd_partition(args) -> int:
 
 def _cmd_verify(args) -> int:
     if (args.cover is None) == (args.partition is None):
-        raise CliError("give exactly one of --cover or --partition")
+        raise ValueError("give exactly one of --cover or --partition")
     path = args.cover or args.partition
     try:
         with open(path) as handle:
             doc = json.load(handle)
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliError(f"malformed JSON in {path}: {exc}") from exc
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
     if args.cover:
         report = oracle.verify_cover(covers.cover_from_json(doc))
     else:
@@ -119,11 +115,11 @@ def _cmd_assign(args) -> int:
         try:
             positions = tuple(int(p) for p in args.positions.split(","))
         except ValueError as exc:
-            raise CliError(f"bad positions {args.positions!r}") from exc
+            raise ValueError(f"bad positions {args.positions!r}") from exc
     else:
         positions = tuple(range(args.k + 1))
     if len(positions) != args.k + 1:
-        raise CliError(f"need {args.k + 1} positions for k={args.k}")
+        raise ValueError(f"need {args.k + 1} positions for k={args.k}")
     index, witness = covers.projective_assign(vector, positions)
     if not witness.validate(vector):
         print("membership witness failed to validate", file=sys.stderr)
@@ -136,13 +132,14 @@ def _cmd_countable(args) -> int:
     try:
         raw = json.loads(args.support)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliError(f"malformed support JSON: {exc}") from exc
+        raise ValueError(f"malformed support JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise CliError("support must be a JSON object mapping index to scalar")
+        raise ValueError(
+            "support must be a JSON object mapping index to scalar")
     try:
         support = {int(idx): Fraction(str(val)) for idx, val in raw.items()}
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad support entry: {exc}") from exc
+        raise ValueError(f"bad support entry: {exc}") from exc
     print(covers.countable_cover_index(support))
     return 0
 
@@ -236,7 +233,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

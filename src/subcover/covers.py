@@ -16,13 +16,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .bounds import check_enumeration_size
-from .gf import FieldDescriptor, field_from_json, field_to_json
+from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
+                 json_int)
 from .linalg import (
     LinearQuotient,
     Subspace,
     full_subspace,
-    json_fields,
-    json_int,
     lift,
     quotient,
     subspace_from_generators,
@@ -59,22 +58,6 @@ class SpaceSpec:
         if self.dim is not None and self.dim < 1:
             raise ValueError("finite dimension must be >= 1")
 
-    @classmethod
-    def finite(cls, f: FieldDescriptor, n: int) -> "SpaceSpec":
-        return cls(f, n)
-
-    @classmethod
-    def finite_field_infinite_dim(cls, f: FieldDescriptor) -> "SpaceSpec":
-        return cls(f, None)
-
-    @classmethod
-    def infinite_field(cls, n: int) -> "SpaceSpec":
-        return cls(None, n)
-
-    @classmethod
-    def doubly_infinite(cls) -> "SpaceSpec":
-        return cls(None, None)
-
 
 FINITE = "finite"
 COUNTABLY_INFINITE = "countably-infinite"
@@ -90,21 +73,11 @@ class CoverCardinality:
     count: int | None = None
     k: int | None = None
 
-    @classmethod
-    def finite(cls, count: int) -> "CoverCardinality":
-        if count < 2:
+    def __post_init__(self):
+        if self.kind == FINITE and self.count < 2:
             raise ValueError("a proper-subspace cover needs at least 2 parts")
-        return cls(FINITE, count=count)
-
-    @classmethod
-    def countably_infinite(cls) -> "CoverCardinality":
-        return cls(COUNTABLY_INFINITE)
-
-    @classmethod
-    def field_power_plus_point(cls, k: int) -> "CoverCardinality":
-        if k < 1:
+        if self.kind == FIELD_POWER_PLUS_POINT and self.k < 1:
             raise ValueError("k must be >= 1")
-        return cls(FIELD_POWER_PLUS_POINT, k=k)
 
     def counted(self, q: int | None = None) -> int | None:
         """Numeric value when one exists: the finite count, or q^k + 1 for
@@ -124,12 +97,11 @@ def nu(spec: SpaceSpec, k: int) -> CoverCardinality:
     if spec.dim is not None and k >= spec.dim:
         raise ValueError(f"need k < dim, got k={k}, dim={spec.dim}")
     if spec.field is not None and spec.dim is not None:
-        return CoverCardinality.finite(
-            minimal_cover_count(spec.field.q, spec.dim, k)
-        )
+        return CoverCardinality(
+            FINITE, count=minimal_cover_count(spec.field.q, spec.dim, k))
     if spec.field is None and spec.dim is None:
-        return CoverCardinality.countably_infinite()
-    return CoverCardinality.field_power_plus_point(k)
+        return CoverCardinality(COUNTABLY_INFINITE)
+    return CoverCardinality(FIELD_POWER_PLUS_POINT, k=k)
 
 
 def cardinality_to_json(c: CoverCardinality) -> dict:
@@ -365,10 +337,6 @@ class ProjectiveIndex:
             raise ValueError("leading position must be >= 0")
         object.__setattr__(self, "tail", tuple(Fraction(t) for t in self.tail))
 
-    @property
-    def k(self) -> int:
-        return self.i + len(self.tail)
-
     def normal_form(self) -> tuple[Fraction, ...]:
         return (Fraction(0),) * self.i + (Fraction(1),) + self.tail
 
@@ -525,7 +493,7 @@ def cover_from_json(doc: dict) -> Cover:
     field_doc, n = json_fields(ambient, "cover ambient", "field", "n")
     f = field_from_json(field_doc)
     n = json_int(n, "ambient n", 1)
-    codim = json_int(codim, "codim")
+    codim = json_int(codim, "codim", 1)
     if not isinstance(subspaces, list):
         raise ValueError("malformed cover document: subspaces must be a list")
     subspaces = subspaces_from_json(subspaces, f)

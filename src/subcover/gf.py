@@ -302,9 +302,8 @@ def field_new(p: int, m: int) -> FieldDescriptor:
 
 
 # Descriptors kept by ``_build_field``, each with its log/antilog tables
-# (12-16 MiB near q = 2^20) once used; partitions' extension cache holds as
-# many.  The largest perfbench pass builds 13 distinct fields, so none is
-# built twice within one.
+# (12-16 MiB near q = 2^20) once used.  The largest perfbench pass builds
+# 13 distinct fields, so none is built twice within one.
 FIELD_CACHE_SIZE = 16
 
 
@@ -324,14 +323,33 @@ def field_to_json(f: FieldDescriptor) -> dict:
     return {"p": f.p, "m": f.m, "modulus": list(f.modulus)}
 
 
-def field_from_json(doc: dict) -> FieldDescriptor:
-    """Parse a field document, rejecting anything non-canonical."""
+def json_int(value, what: str, minimum: int | None = None) -> int:
+    """An integer read from a JSON document; a bool, any other type, or a
+    value below ``minimum`` raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def json_fields(doc, what: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``doc``.  A document that
+    is not an object, or lacks a key, raises ValueError naming the document
+    kind ``what`` and the key, never the document itself."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {what} document: expected an object, "
+                         f"got {type(doc).__name__}")
     try:
-        p, m, modulus = doc["p"], doc["m"], doc["modulus"]
+        return [doc[key] for key in keys]
     except KeyError as exc:
-        raise ValueError(f"malformed field document: missing key {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"malformed field document: {exc}") from exc
+        raise ValueError(f"malformed {what} document: missing key "
+                         f"{exc.args[0]!r}") from None
+
+
+def field_from_json(doc) -> FieldDescriptor:
+    """Parse a field document, rejecting anything non-canonical."""
+    p, m, modulus = json_fields(doc, "field", "p", "m", "modulus")
     f = field_new(p, m)
     if not isinstance(modulus, (list, tuple)) or list(f.modulus) != list(modulus):
         raise ValueError(

@@ -13,7 +13,8 @@ from itertools import chain, product, repeat
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .gf import FieldDescriptor, field_from_json, field_to_json
+from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
+                 json_int)
 
 Row = tuple[int, ...]
 
@@ -31,6 +32,23 @@ def linear_combination(f: FieldDescriptor, coeffs: Sequence[int],
     return tuple(out)
 
 
+def _check_encodings(q: int, rows: Sequence[Sequence], what: str) -> None:
+    """Raise ValueError unless every entry is an integer encoding of GF(q):
+    a plain int in [0, q), so a bool or a float is not.  The types are read
+    off every entry, since a set of the values merges 1, 1.0 and True; then
+    the distinct values are range-checked, all at C speed.  Only after a
+    failure is each row checked alone, to name the first bad one."""
+    if set(map(type, chain(*rows))) <= {int}:
+        values = set(chain(*rows))
+        if not values or min(values) >= 0 and max(values) < q:
+            return
+    if len(rows) > 1:
+        for row in rows:
+            _check_encodings(q, (row,), what)
+    raise ValueError(f"{what} entries must be integer encodings in "
+                     f"[0, {q}), got {list(rows[0])!r}")
+
+
 def rref(f: FieldDescriptor, matrix: Sequence[Sequence[int]]
          ) -> tuple[tuple[Row, ...], int]:
     """Unique reduced row-echelon form of a matrix and its rank.
@@ -44,20 +62,7 @@ def rref(f: FieldDescriptor, matrix: Sequence[Sequence[int]]
     nrows, ncols = len(rows), len(rows[0])
     if set(map(len, rows)) != {ncols}:
         raise ValueError("ragged matrix")
-    q = f.q
-    # The distinct entries, checked at C speed: plain ints in range pass.
-    # Otherwise the per-entry rule decides, as it orders the errors.  A set
-    # merges only equal numbers, which that rule accepts or rejects alike.
-    try:
-        values = set(chain(*rows))
-    except TypeError:  # an unhashable entry
-        values = None
-    if values is None or values and not (set(map(type, values)) <= {int}
-                                         and min(values) >= 0
-                                         and max(values) < q):
-        for r in rows:
-            if any(not 0 <= e < q for e in r):
-                raise ValueError("entry encoding out of range")
+    _check_encodings(f.q, rows, "matrix")
     sub, mul, inv = f.sub, f.mul, f.inv
     pivot_row = 0
     for col in range(ncols):
@@ -131,16 +136,11 @@ def subspace_from_rref(f: FieldDescriptor, n: int,
                        basis: Sequence[Sequence[int]]) -> Subspace:
     """Build a subspace from rows claimed to be in RREF; reject otherwise."""
     rows = tuple(map(tuple, basis))
-    q = f.q
+    if set(map(len, rows)) - {n}:
+        raise ValueError("basis row has wrong length")
+    _check_encodings(f.q, rows, "basis")
     pivots = []
     for row in rows:
-        if len(row) != n:
-            raise ValueError("basis row has wrong length")
-        if row and not (set(map(type, row)) <= {int}
-                        and min(values := set(row)) >= 0 and max(values) < q):
-            raise ValueError(
-                f"basis entries must be integer encodings in [0, {q}), "
-                f"got {list(row)!r}")
         first = next(filter(None, row), 0)
         if not first:
             raise ValueError("zero row in basis")
@@ -391,30 +391,6 @@ def subspace_to_json(s: Subspace) -> dict:
         "n": s.n,
         "basis": [list(r) for r in s.basis],
     }
-
-
-def json_int(value, what: str, minimum: int | None = None) -> int:
-    """An integer read from a JSON document; a bool, any other type, or a
-    value below ``minimum`` raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{what} must be at least {minimum}, got {value}")
-    return value
-
-
-def json_fields(doc, what: str, *keys: str) -> list:
-    """The values of ``keys`` in the JSON object ``doc``.  A document that
-    is not an object, or lacks a key, raises ValueError naming the document
-    kind ``what`` and the key, never the document itself."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"malformed {what} document: expected an object, "
-                         f"got {type(doc).__name__}")
-    try:
-        return [doc[key] for key in keys]
-    except KeyError as exc:
-        raise ValueError(f"malformed {what} document: missing key "
-                         f"{exc.args[0]!r}") from None
 
 
 def subspace_from_json(doc: dict) -> Subspace:

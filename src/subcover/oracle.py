@@ -131,8 +131,7 @@ def _index_vector(idx: int, q: int, n: int) -> Row:
     return tuple(out)
 
 
-def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
-                member: str) -> bytearray:
+def _hit_counts(f: FieldDescriptor, n: int, members, what: str) -> bytearray:
     """Hits per vector index over every vector of every member subspace,
     saturating at 2."""
     q = f.q
@@ -140,8 +139,6 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
         check_enumeration_size(q, n, f"verifying a {what} of GF({q})^{n}"))
     weights = [q**i for i in range(n)]  # a vector's index is sum(v_i * q**i)
     for s in members:
-        if s.field is not f and s.field != f or s.n != n:
-            raise ValueError(f"{what} {member} in wrong ambient space")
         vecs = span_tuples(f, s.basis, n)
         for i in map(sum, map(map, repeat(mul), vecs, repeat(weights))):
             if hits[i] < 2:
@@ -150,10 +147,10 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
 
 
 def _violations(f: FieldDescriptor, n: int, members, what: str,
-                member: str, exact: bool) -> tuple[tuple[Row, ...], ...]:
+                exact: bool) -> tuple[tuple[Row, ...], ...]:
     """The nonzero vectors no member holds and, when ``exact``, those more
     than one member holds (hits saturate at 2), in increasing order."""
-    hits = _hit_counts(f, n, members, what, member)
+    hits = _hit_counts(f, n, members, what)
 
     def where(count: int):
         i = hits.find(count, 1)
@@ -169,7 +166,7 @@ def verify_cover(c: Cover) -> VerificationReport:
     subspace, by enumerating each subspace from its basis, and that the
     cover's count and provenance follow its plan (``covers.follows_plan``)."""
     uncovered, _ = _violations(c.field, c.n, c.subspaces, "cover",
-                               "subspace", exact=False)
+                               exact=False)
     ok = not uncovered and follows_plan(c)
     return VerificationReport(ok, uncovered, (), c.field.q**c.n - 1)
 
@@ -180,7 +177,7 @@ def verify_partition(p: Partition) -> VerificationReport:
     part dimensions and ``literature_range`` are those of its kind
     (``partitions.follows_kind``)."""
     uncovered, doubled = _violations(p.field, p.n, p.parts, "partition",
-                                     "part", exact=True)
+                                     exact=True)
     ok = not uncovered and not doubled and follows_kind(p)
     return VerificationReport(ok, uncovered, doubled, p.field.q**p.n - 1)
 

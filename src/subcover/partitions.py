@@ -19,19 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product, repeat
-from operator import mul
+from itertools import chain, product, repeat
 
 from .bounds import check_enumeration_size
-from .gf import (FIELD_CACHE_SIZE, FieldDescriptor, field_from_json,
-                 field_new, field_to_json)
+from .gf import (FieldDescriptor, field_from_json, field_new, field_to_json,
+                 json_fields, json_int)
 from .linalg import (
     Subspace,
     invert_matrix,
-    json_fields,
-    json_int,
-    linear_combination,
     span_tuples,  # unused; perfbench's tests read partitions.span_tuples
     subspace_from_generators,
     subspaces_from_json,
@@ -52,6 +47,12 @@ class Partition:
     # True iff the parameters sit inside the range stated by the classical
     # partition lemma this construction realizes (mixed: 1 < d < n/2).
     literature_range: bool
+
+    def __post_init__(self):
+        f = self.field
+        for s in self.parts:
+            if s.field is not f and s.field != f or s.n != self.n:
+                raise ValueError("partition part has mismatched ambient space")
 
 
 class FieldExtension:
@@ -87,22 +88,19 @@ class FieldExtension:
                     if _eval_poly(top, base.modulus, a) == 0)
             self._embed = tuple(_eval_poly(top, base.digits(c), y)
                                 for c in range(base.q))
-            gf_p = field_new(p, 1)
-            conv_inv = invert_matrix(gf_p, [
+            conv_inv = invert_matrix(field_new(p, 1), [
                 top.digits(top.mul(b, self._embed[p**j]))
                 for b in self.power_basis for j in range(m)])
-            weights = [p**i for i in range(m * degree)]
-
-            def flat(w):
-                return sum(map(mul, linear_combination(
-                    gf_p, top.digits(w), conv_inv), weights))
-
-            # flat is GF(p)-linear, so flat(w) is the sum of flat of w's low
-            # and of its high top-field digits, tabulated as ints; top.add
-            # adds base-p digits mod p, which is that sum.
-            self._half = half = p ** (m * degree // 2)
-            self._low = list(map(flat, range(half)))
-            self._high = list(map(flat, range(0, top.q, half)))
+            # flat is GF(p)-linear, and top.add adds base-p digits mod p, so
+            # flat(w) is the top.add of flat of w's low and of its high
+            # digits, each tabulated from the images flat(p^k), the rows
+            # of conv_inv packed as ints
+            low_digits = m * degree // 2
+            self._half = p**low_digits
+            units = [sum(c * p**i for i, c in enumerate(row))
+                     for row in conv_inv]
+            self._low = _span_table(top, units[:low_digits])
+            self._high = _span_table(top, units[low_digits:])
 
     def embed(self, c: int) -> int:
         """Image in the top field of a base-field encoding."""
@@ -131,17 +129,25 @@ class FieldExtension:
                 + (last % q, last // q)[:self.degree % 3])
 
 
+def _span_table(top: FieldDescriptor, units: list[int]) -> list[int]:
+    """The GF(p)-combination sum(a_k * units[k]) in top, at the index whose
+    base-p digits are the a_k (constant first): one ``top.add`` per entry,
+    onto the entry with its top digit one lower."""
+    table = [0]
+    for u in units:
+        layers = [table]
+        for _ in range(1, top.p):
+            layers.append(list(map(top.add, layers[-1], repeat(u))))
+        table = list(chain(*layers))
+    return table
+
+
 def _eval_poly(f: FieldDescriptor, coeffs, a: int) -> int:
     """Horner evaluation; coeffs are base-p constants, valid in any GF(p^k)."""
     acc = 0
     for c in reversed(coeffs):
         acc = f.add(f.mul(acc, a), c)
     return acc
-
-
-@lru_cache(maxsize=FIELD_CACHE_SIZE)  # each holds its top field
-def _extension(base: FieldDescriptor, degree: int) -> FieldExtension:
-    return FieldExtension(base, degree)
 
 
 def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
@@ -152,7 +158,7 @@ def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
         raise ValueError(f"spread requires d | n, got d={d}, n={n}")
     size = check_enumeration_size(
         f.q, n, f"spread_partition(q={f.q}, n={n}, d={d})")
-    ext = _extension(f, n)
+    ext = FieldExtension(f, n)
     top, q = ext.top, f.q
     # GF(q^d)* inside the top field is the powers of its generator b, so
     # alpha, alpha b, ..., alpha b^(d-1) is a basis of alpha GF(q^d)
@@ -190,7 +196,7 @@ def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     if d < 1 or 2 * d > n:
         raise ValueError(f"need 1 <= d <= n/2, got d={d}, n={n}")
     check_enumeration_size(f.q, n, f"mixed_partition(q={f.q}, n={n}, d={d})")
-    ext = _extension(f, n - d)
+    ext = FieldExtension(f, n - d)
     top, q = ext.top, f.q
     t = n - d
 
@@ -250,7 +256,7 @@ def partition_from_json(doc: dict) -> Partition:
     field_doc, n = json_fields(ambient, "partition ambient", "field", "n")
     f = field_from_json(field_doc)
     n = json_int(n, "ambient n", 1)
-    d = json_int(d, "d")
+    d = json_int(d, "d", 1)
     if kind not in ("spread", "mixed"):
         raise ValueError(f"unknown partition kind {kind!r}")
     if not isinstance(lit, bool):
@@ -258,8 +264,5 @@ def partition_from_json(doc: dict) -> Partition:
                          f"{type(lit).__name__}")
     if not isinstance(parts, list):
         raise ValueError("malformed partition document: parts must be a list")
-    parts = subspaces_from_json(parts, f)
-    for s in parts:
-        if s.field is not f and s.field != f or s.n != n:
-            raise ValueError("partition part has mismatched ambient space")
-    return Partition(f, n, d, kind, parts, literature_range=lit)
+    return Partition(f, n, d, kind, subspaces_from_json(parts, f),
+                     literature_range=lit)

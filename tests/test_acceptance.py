@@ -100,7 +100,7 @@ def test_criterion_3_symbolic_41_29_count():
 
         plan = cover_plan(q, 41, 29)
         assert plan.predicted_count == closed_form, q
-        assert nu(SpaceSpec.finite(field_new(q, 1), 41), 29).count \
+        assert nu(SpaceSpec(field_new(q, 1), 41), 29).count \
             == closed_form
     print("ACCEPTANCE 3: PASS - 41/29 count reproduced symbolically "
           "for q in {2,3,5}")
@@ -248,17 +248,17 @@ def test_nu_case_split_all_four_branches():
     """The infinite-cardinality cases of the classifier (not reproducible
     as experiments) exercised on all four branches."""
     f3 = field_new(3, 1)
-    finite = nu(SpaceSpec.finite(f3, 4), 2)
+    finite = nu(SpaceSpec(f3, 4), 2)
     assert finite.kind == "finite" and finite.count == 10
 
-    countable = nu(SpaceSpec.doubly_infinite(), 2)
+    countable = nu(SpaceSpec(None, None), 2)
     assert countable.kind == "countably-infinite"
 
-    fin_field_inf_dim = nu(SpaceSpec.finite_field_infinite_dim(f3), 2)
+    fin_field_inf_dim = nu(SpaceSpec(f3, None), 2)
     assert fin_field_inf_dim.kind == "field-power-plus-point"
     assert fin_field_inf_dim.counted(3) == 3**2 + 1
 
-    inf_field_fin_dim = nu(SpaceSpec.infinite_field(9), 2)
+    inf_field_fin_dim = nu(SpaceSpec(None, 9), 2)
     assert inf_field_fin_dim.kind == "field-power-plus-point"
     assert inf_field_fin_dim.counted() is None
     print("ACCEPTANCE (case split): PASS - all four classifier branches")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -274,7 +275,8 @@ class TestVerifyCommand:
     # and a TypeError (or an empty, failing report)
     @pytest.mark.parametrize("key,value", [
         ("n", "3"), ("n", -1), ("n", 0), ("n", True), ("n", 2.0),
-        ("codim", "1"), ("codim", False), ("codim", None),
+        ("codim", "1"), ("codim", False), ("codim", None), ("codim", -1),
+        ("codim", 0),
     ])
     def test_bad_cover_shape_rejected(self, capsys, tmp_path, key, value):
         _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")
@@ -288,7 +290,7 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and f"{key} must be" in err
 
     @pytest.mark.parametrize("key,value", [
-        ("n", "4"), ("n", 0), ("d", 2.5), ("d", True),
+        ("n", "4"), ("n", 0), ("d", 2.5), ("d", True), ("d", -1), ("d", 0),
     ])
     def test_bad_partition_shape_rejected(self, capsys, tmp_path, key, value):
         _, out, _ = run(capsys, "partition", "--p", "2", "--n", "4",
@@ -528,10 +530,111 @@ def test_verify_survives_any_value_replaced(data):
         path = os.path.join(tmp, "doc.json")
         with open(path, "w") as handle:
             json.dump(doc, handle)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["verify", f"--{kind}", path])
-    assert code in (0, 1, 2)
+        main_survives(["verify", f"--{kind}", path])
+
+
+def main_survives(argv: list[str]) -> int:
+    """Run ``cli.main`` in-process and check what every call must keep: an
+    exit code in {0, 1, 2}, no traceback, and nothing on stdout on exit 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert code != 1 or out.getvalue() == "", argv
+    return code
+
+
+# Integer flag values, as (usual, rare) draws: small, or negative, zero,
+# huge or not integers.  The small ones stay at most 3, so that with a
+# raised SUBCOVER_MAX_Q_POW the largest space drawn is GF(27)^3.  nu, limit
+# and assign have no size guard (their arithmetic is symbolic), and a
+# dimension or codimension of 10^12 there exhausts memory, so their "huge"
+# is 10^4.
+SMALL = st.sampled_from(["1", "2", "3"])
+NOT_SMALL = ["-1", "0", "x", "2.5", "", "1e3", "0x10"]
+INTS = (SMALL, st.sampled_from(NOT_SMALL + [str(10**12)]))
+SYMBOLIC_INTS = (SMALL, st.sampled_from(NOT_SMALL + [str(10**4)]))
+FIELD_FLAGS = [("--p", INTS), ("--m", INTS)]
+FLAG = None  # a flag that takes no value
+FILE = object()  # a path from the verify_inputs fixture
+COMMANDS = {
+    ("nu",): FIELD_FLAGS + [("--n", SYMBOLIC_INTS), ("--k", SYMBOLIC_INTS),
+                            ("--infinite-field", FLAG),
+                            ("--infinite-dim", FLAG)],
+    ("cover",): FIELD_FLAGS + [("--n", INTS), ("--k", INTS),
+                               ("--verify", FLAG)],
+    ("partition",): FIELD_FLAGS + [
+        ("--n", INTS), ("--d", INTS), ("--verify", FLAG),
+        ("--kind", st.sampled_from(["spread", "mixed", "other"]))],
+    ("oracle", "min"): FIELD_FLAGS + [("--n", INTS), ("--k", INTS)],
+    ("assign",): [
+        ("--k", SYMBOLIC_INTS),
+        ("--vector", st.sampled_from(["0,5,7,1,2", "1,2", "0,0,0", "x",
+                                      "1/0", "", "3/4,-2," * 3])),
+        ("--positions", st.sampled_from(["0,1", "0,2,1", "1,1", "-1,2",
+                                         "a", "", str(10**12) + ",0"]))],
+    ("countable",): [("--support", st.sampled_from([
+        '{"1":"2","7":"1/3"}', "{}", '{"1":"0"}', '{"-1":"1"}', '{"x":1}',
+        '{"1":"1/0"}', '{"1":1e400}', "[1]", "[" * 20000 + "]" * 20000,
+        '{"1":' + "7" * 5000 + "}", "{"]))],
+    ("limit",): [("--n", SYMBOLIC_INTS), ("--k", SYMBOLIC_INTS)],
+    ("verify",): [("--cover", FILE), ("--partition", FILE)],
+}
+ENV_BOUNDS = st.sampled_from([
+    "abc", "2.5", "-5", "0", "1", "64", " 4096 ", str(10**30), "9" * 5000])
+
+
+def usually(data) -> bool:
+    """True in three draws of four, so that most commands get past argument
+    checking: flags are given, values small and the bound unset."""
+    return data.draw(st.booleans()) or data.draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def verify_inputs(tmp_path_factory):
+    """Files for ``verify``: each fuzz document, deep nesting, an integer
+    over the 4300 digits Python parses, non-UTF-8 bytes, truncated JSON,
+    a directory and a missing file."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    contents = [json.dumps(doc) for _, doc in FUZZ_DOCUMENTS] + [
+        "[" * 100_000 + "]" * 100_000,
+        json.dumps({**FUZZ_DOCUMENTS[0][1], "codim": -7}).replace(
+            "-7", "1" * 5000),
+        b"\xff\xfe{\x80}",
+        json.dumps(FUZZ_DOCUMENTS[2][1])[:200],
+    ]
+    paths = []
+    for i, content in enumerate(contents):
+        path = tmp / f"doc{i}.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        paths.append(str(path))
+    return paths + [str(tmp), str(tmp / "missing.json")]
+
+
+@settings(max_examples=200, deadline=1000)
+@given(st.data())
+def test_every_command_survives_any_input(verify_inputs, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(command)
+    for flag, values in COMMANDS[command]:
+        if usually(data):
+            argv.append(flag)
+            if values is FILE:
+                argv.append(data.draw(st.sampled_from(verify_inputs)))
+            elif isinstance(values, tuple):
+                argv.append(data.draw(values[not usually(data)]))
+            elif values is not FLAG:
+                argv.append(data.draw(values))
+    bound = None if usually(data) else data.draw(ENV_BOUNDS)
+    env = {} if bound is None else {"SUBCOVER_MAX_Q_POW": bound}
+    with mock.patch.dict(os.environ, env):
+        if bound is None:
+            os.environ.pop("SUBCOVER_MAX_Q_POW", None)
+        main_survives(argv)
 
 
 class TestOracleCommand:

@@ -252,6 +252,18 @@ class TestJson:
         with pytest.raises(ValueError):
             field_from_json({"p": 2})
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"p": 2}, "malformed field document: missing key 'm'"),
+        ({"m": 1, "modulus": [0, 1]},
+         "malformed field document: missing key 'p'"),
+        ("GF(2)", "malformed field document: expected an object, got str"),
+        ([2, 1], "malformed field document: expected an object, got list"),
+    ])
+    def test_malformed_message(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            field_from_json(doc)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("doc", [
         {"p": 2, "m": True, "modulus": [0, 1]},
         {"p": 3, "m": True, "modulus": [0, 1]},

@@ -61,6 +61,19 @@ class TestRref:
         with pytest.raises(ValueError):
             rref(F2, [(1, 0), (1,)])
 
+    # an encoding is a plain int: a bool or a float is rejected even where
+    # it equals one, and a set of the entries {1, True} would merge them
+    @pytest.mark.parametrize("rows", [
+        [[True, 0]], [[0, False]], [[1.0, 1]], [[0.5, 1]], [[1, True]],
+        [[1, 0], [0, True]],
+    ])
+    def test_non_int_entries_rejected(self, rows):
+        for f in (F2, F3):
+            with pytest.raises(ValueError, match="integer encodings"):
+                rref(f, rows)
+            with pytest.raises(ValueError, match="integer encodings"):
+                subspace_from_generators(f, 2, rows)
+
     def test_rref_is_idempotent_and_canonical(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -394,8 +407,10 @@ def _ref_rref(f, matrix):
     if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix")
     for r in rows:
-        if any(not 0 <= e < f.q for e in r):
-            raise ValueError("entry encoding out of range")
+        if any(type(e) is not int or not 0 <= e < f.q for e in r):
+            raise ValueError(
+                f"matrix entries must be integer encodings in [0, {f.q}), "
+                f"got {r!r}")
     nrows, pivot_row = len(rows), 0
     for col in range(width):
         src = next((r for r in range(pivot_row, nrows) if rows[r][col]), None)
@@ -431,14 +446,15 @@ def _ref_from_generators(f, n, vectors):
 
 def _ref_from_rref(f, n, basis):
     rows = tuple(tuple(r) for r in basis)
-    pivots = []
+    if any(len(row) != n for row in rows):
+        raise ValueError("basis row has wrong length")
     for row in rows:
-        if len(row) != n:
-            raise ValueError("basis row has wrong length")
         if any(type(e) is not int or not 0 <= e < f.q for e in row):
             raise ValueError(
                 f"basis entries must be integer encodings in [0, {f.q}), "
                 f"got {list(row)!r}")
+    pivots = []
+    for row in rows:
         lead = next((j for j, e in enumerate(row) if e), None)
         if lead is None:
             raise ValueError("zero row in basis")
@@ -474,7 +490,7 @@ def _suspect_matrices(draw):
     n = draw(st.integers(0, 4))
     entry = st.one_of(
         st.integers(0, f.q - 1),
-        st.sampled_from([-1, f.q, f.q + 1, True, False, 0.5, None]))
+        st.sampled_from([-1, f.q, f.q + 1, True, False, 0.5, 1.0, None]))
     if n and draw(st.booleans()):
         gens = draw(st.lists(st.lists(st.integers(0, f.q - 1), min_size=n,
                                       max_size=n), max_size=3))

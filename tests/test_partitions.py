@@ -4,12 +4,13 @@ import itertools
 
 import pytest
 
+from subcover import gf
 from subcover.gf import FIELD_CACHE_SIZE, field_new, is_prime
-from subcover.linalg import intersect
+from subcover.linalg import intersect, subspace_from_generators
 from subcover.oracle import verify_partition
 from subcover.partitions import (
     FieldExtension,
-    _extension,
+    Partition,
     mixed_partition,
     partition_from_json,
     partition_to_json,
@@ -123,12 +124,12 @@ class TestSpread:
         assert spread_partition(F3, 4, 2) == spread_partition(F3, 4, 2)
 
     def test_extension_cache_is_bounded(self):
-        # each cached extension keeps its top field and that field's tables
+        # each cached top field keeps its tables
         primes = [p for p in range(2, 80) if is_prime(p)]
         assert len(primes) > FIELD_CACHE_SIZE
         for p in primes:
             assert len(spread_partition(field_new(p, 1), 2, 1).parts) == p + 1
-        assert _extension.cache_info().currsize <= FIELD_CACHE_SIZE
+        assert gf._build_field.cache_info().currsize <= FIELD_CACHE_SIZE
 
 
 class TestMixed:
@@ -196,6 +197,16 @@ class TestJson:
         doc["kind"] = "exotic"
         with pytest.raises(ValueError):
             partition_from_json(doc)
+
+    @pytest.mark.parametrize("part", [
+        subspace_from_generators(F3, 2, [(1, 0)]),
+        subspace_from_generators(F2, 3, [(1, 0, 0)]),
+    ], ids=["field", "n"])
+    def test_partition_rejects_a_part_in_another_space(self, part):
+        p = spread_partition(F2, 2, 1)
+        with pytest.raises(ValueError, match="mismatched ambient space"):
+            Partition(F2, 2, 1, "spread", p.parts[:2] + (part,),
+                      literature_range=True)
 
     def test_rejects_mismatched_part(self):
         doc = partition_to_json(spread_partition(F2, 2, 1))
