@@ -19,6 +19,12 @@ MAX_SUBSPACES = 100_000
 # memory grows with candidates x points; this caps that product.
 MAX_MASK_BITS = 2**24
 
+# The symbolic operations (nu, the q -> 1 limit) enumerate nothing, but
+# still build q**n, q**k or an n-long list; this fixed bound caps the bits
+# of such a power, so that a huge dimension is rejected, not a memory
+# exhaustion.
+MAX_SYMBOLIC_BITS = 2**20
+
 _ENV_VAR = "SUBCOVER_MAX_Q_POW"
 
 
@@ -47,3 +53,11 @@ def check_enumeration_size(q: int, n: int, what: str) -> int:
             f"bound {bound} (set {_ENV_VAR} to raise it)"
         )
     return q**n
+
+
+def check_symbolic_size(q: int, n: int, what: str) -> None:
+    """Raise ValueError if q**n (q >= 2) may have over MAX_SYMBOLIC_BITS
+    bits, n times those of q - 1; an n-long list is checked as 2**n."""
+    if n * (q - 1).bit_length() > MAX_SYMBOLIC_BITS:
+        raise ValueError(f"{what} has size {q}^{n}, over the fixed symbolic "
+                         f"bound 2^{MAX_SYMBOLIC_BITS}")

@@ -29,7 +29,7 @@ def _dump(doc) -> str:
 def _field_from_args(args) -> gf.FieldDescriptor:
     if args.p is None:
         raise ValueError("--p is required for a finite field")
-    return gf.field_new(args.p, args.m)
+    return gf.field_new(args.p, 1 if args.m is None else args.m)
 
 
 def _parse_rationals(text: str) -> tuple[Fraction, ...]:
@@ -40,7 +40,7 @@ def _parse_rationals(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_nu(args) -> int:
-    if args.infinite_field and args.p is not None:
+    if args.infinite_field and (args.p, args.m) != (None, None):
         raise ValueError("give either --p/--m or --infinite-field, not both")
     if args.infinite_dim and args.n is not None:
         raise ValueError("give either --n or --infinite-dim, not both")
@@ -48,16 +48,9 @@ def _cmd_nu(args) -> int:
     dim = None if args.infinite_dim else args.n
     if dim is None and not args.infinite_dim:
         raise ValueError("--n or --infinite-dim is required")
-    spec = SpaceSpec(field, dim)
-    card = covers.nu(spec, args.k)
-    if card.kind == covers.FINITE:
-        print(card.count)
-    else:
-        doc = covers.cardinality_to_json(card)
-        counted = card.counted(field.q if field is not None else None)
-        if counted is not None:
-            doc["count"] = counted
-        print(_dump(doc))
+    card = covers.nu(SpaceSpec(field, dim), args.k)
+    print(card.count if card.kind == covers.FINITE
+          else _dump(covers.cardinality_to_json(card)))
     return 0
 
 
@@ -116,6 +109,9 @@ def _cmd_assign(args) -> int:
             positions = tuple(int(p) for p in args.positions.split(","))
         except ValueError as exc:
             raise ValueError(f"bad positions {args.positions!r}") from exc
+    elif args.k + 1 > len(vector):
+        raise ValueError(f"k={args.k} needs {args.k + 1} coordinates, the "
+                         f"vector has {len(vector)}")
     else:
         positions = tuple(range(args.k + 1))
     if len(positions) != args.k + 1:
@@ -156,7 +152,7 @@ def _cmd_limit(args) -> int:
 
 def _add_field_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, help="field characteristic (prime)")
-    p.add_argument("--m", type=int, default=1, help="extension degree (default 1)")
+    p.add_argument("--m", type=int, help="extension degree (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

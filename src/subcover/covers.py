@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .bounds import check_enumeration_size
+from .bounds import check_enumeration_size, check_symbolic_size
 from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
                  json_int)
 from .linalg import (
@@ -39,6 +39,7 @@ def minimal_cover_count(q: int, n: int, k: int) -> int:
     """ceil((q^n - 1) / (q^(n-k) - 1)), exact big-integer arithmetic."""
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    check_symbolic_size(q, n, f"the cover count over GF({q})^{n}")
     return ceil_div(q**n - 1, q ** (n - k) - 1)
 
 
@@ -67,7 +68,8 @@ FIELD_POWER_PLUS_POINT = "field-power-plus-point"
 @dataclass(frozen=True)
 class CoverCardinality:
     """The minimal indexing set of a cover: a finite count, countably
-    infinite, or the set F^k plus one extra point."""
+    infinite, or the set F^k plus one extra point, whose ``count`` is
+    q^k + 1 over a field of order q."""
 
     kind: str
     count: int | None = None
@@ -79,19 +81,10 @@ class CoverCardinality:
         if self.kind == FIELD_POWER_PLUS_POINT and self.k < 1:
             raise ValueError("k must be >= 1")
 
-    def counted(self, q: int | None = None) -> int | None:
-        """Numeric value when one exists: the finite count, or q^k + 1 for
-        the F^k-plus-point case over a field of order q."""
-        if self.kind == FINITE:
-            return self.count
-        if self.kind == FIELD_POWER_PLUS_POINT and q is not None:
-            return q**self.k + 1
-        return None
-
 
 def nu(spec: SpaceSpec, k: int) -> CoverCardinality:
     """Minimal indexing set for covering the space by subspaces of
-    codimension at least k."""
+    codimension at least k, with its count whenever that is finite."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if spec.dim is not None and k >= spec.dim:
@@ -101,7 +94,11 @@ def nu(spec: SpaceSpec, k: int) -> CoverCardinality:
             FINITE, count=minimal_cover_count(spec.field.q, spec.dim, k))
     if spec.field is None and spec.dim is None:
         return CoverCardinality(COUNTABLY_INFINITE)
-    return CoverCardinality(FIELD_POWER_PLUS_POINT, k=k)
+    if spec.field is None:
+        return CoverCardinality(FIELD_POWER_PLUS_POINT, k=k)
+    check_symbolic_size(spec.field.q, k, f"the F^k-plus-point count at k={k}")
+    return CoverCardinality(FIELD_POWER_PLUS_POINT, count=spec.field.q**k + 1,
+                            k=k)
 
 
 def cardinality_to_json(c: CoverCardinality) -> dict:
@@ -141,6 +138,7 @@ def f1_limit_value(n: int, k: int) -> Fraction:
     root at 1 by exact polynomial division."""
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    check_symbolic_size(2, n, f"the q -> 1 limit at n={n}")
     q_minus_1 = [-1, 1]
     num = _poly_divexact([-1] + [0] * (n - 1) + [1], q_minus_1)
     den = _poly_divexact([-1] + [0] * (n - k - 1) + [1], q_minus_1)

@@ -323,12 +323,12 @@ def field_to_json(f: FieldDescriptor) -> dict:
     return {"p": f.p, "m": f.m, "modulus": list(f.modulus)}
 
 
-def json_int(value, what: str, minimum: int | None = None) -> int:
+def json_int(value, what: str, minimum: int) -> int:
     """An integer read from a JSON document; a bool, any other type, or a
     value below ``minimum`` raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ValueError(f"{what} must be at least {minimum}, got {value}")
     return value
 

@@ -9,8 +9,8 @@ comparison and lets subspaces be deduplicated through hashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product, repeat
-from operator import getitem, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
@@ -286,7 +286,9 @@ def lift(q: LinearQuotient, s_bar: Subspace) -> Subspace:
     return subspace_from_generators(q.field, q.ambient_dim, gens)
 
 
-# The most tail vectors span_tuples holds at once.
+# The most tail vectors span_tuples holds at once, unless one row's q
+# multiples are more: the tail keeps at least one row.  Under the default
+# guard q > 4096 forces n = 1, so such a span has at most one row.
 SPAN_BLOCK = 4096
 
 
@@ -297,19 +299,19 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
     canonical field order (first coefficient slowest).
 
     The span of the last rows, the tail block, is built once as ``width``
-    columns, as long as it stays within SPAN_BLOCK vectors.  Column j of the
-    span of rows r_0.., with entries u = (r_0[j], ...), is the column of
-    u[1:] shifted by each of the q multiples of u[0], joined; a one-entry
-    column is the q multiples themselves.  Each distinct u, and each suffix
-    it needs, is built once, however many columns share it (in a reduced
-    basis most do), and the columns are then looked up.  Each combination of
-    the remaining head coefficients is summed once, the tail columns are
-    shifted by its coordinates, and the vectors are read off the columns
-    with ``zip``.  While q <= 256 a column is ``bytes`` and a shift is one
-    ``bytes.translate`` through the field's ``byte_tables``, so the tail
-    holds at most SPAN_BLOCK * width bytes, and building or shifting it as
-    much again; above, a column is a list shifted by the field's ``add``.
-    Besides the tail, memory holds the q multiples of each head row.
+    columns: at least one row, and more while it stays within SPAN_BLOCK
+    vectors.  Column j of the span of rows r_0.., with entries
+    u = (r_0[j], ...), is the column of u[1:] shifted by each of the q
+    multiples of u[0], joined; a one-entry column is the q multiples
+    themselves.  Each distinct u, and each suffix it needs, is built once,
+    however many columns share it (in a reduced basis most do), and the
+    columns are then looked up.  The tail columns are shifted by each
+    vector of the head rows' span, which this function enumerates, and the
+    vectors are read off the columns with ``zip``.  While q <= 256 a column
+    is ``bytes`` and a shift is one ``bytes.translate`` through the field's
+    ``byte_tables``; above, it is a list shifted by the field's ``add``.
+    Each level of the recursion, one row shorter at least, holds a tail of
+    at most max(SPAN_BLOCK, q) vectors.
     """
     q = f.q
     if not width:  # zip of no columns would yield nothing
@@ -328,9 +330,6 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
 
         def shift(col, a):
             return [add(a, y) for y in col]
-
-        def plus(u, v):
-            return list(map(add, u, v))
     else:
         adds, muls = tables
         zero = b"\0"
@@ -344,10 +343,7 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
         def shift(col, a):
             return col.translate(adds[a])
 
-        def plus(u, v):
-            return bytes(map(getitem, map(adds.__getitem__, u), v))
-
-    split, size = len(rows), 1
+    split, size = max(len(rows) - 1, 0), q
     while split and size * q <= SPAN_BLOCK:
         split, size = split - 1, size * q
     built = {(): zero}
@@ -366,11 +362,7 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
     if not split:
         yield from zip(*cols)
         return
-    scaled = [list(zip(*map(multiples, row))) for row in rows[:split]]
-    for combo in product(*scaled):
-        head = combo[0]
-        for rc in combo[1:]:
-            head = plus(head, rc)
+    for head in span_tuples(f, rows[:split], width):
         yield from zip(*map(shift, cols, head))
 
 

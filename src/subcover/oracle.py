@@ -80,8 +80,6 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int) -> list[Subspace]:
         raise ValueError(
             f"{count} subspaces exceed the search bound {MAX_SUBSPACES}"
         )
-    if d == 0:
-        return [Subspace(f, n, (), ())]
     out = []
     for pivots in combinations(range(n), d):
         rows = []

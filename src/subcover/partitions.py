@@ -150,21 +150,35 @@ def _eval_poly(f: FieldDescriptor, coeffs, a: int) -> int:
     return acc
 
 
+def partition_shape(kind: str, q: int, n: int, d: int
+                    ) -> tuple[Counter, bool]:
+    """The part dimensions, as a Counter, and the ``literature_range`` of
+    a "spread" or "mixed" partition of GF(q)^n into parts of dimension d;
+    parameters outside the kind's range raise ValueError."""
+    if kind == "spread":
+        if not 1 <= d <= n:
+            raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
+        if n % d:
+            raise ValueError(f"spread requires d | n, got d={d}, n={n}")
+        return Counter({d: (q**n - 1) // (q**d - 1)}), True
+    if not 1 <= d <= n - d:
+        raise ValueError(f"need 1 <= d <= n/2, got d={d}, n={n}")
+    return (Counter({n - d: 1}) + Counter({d: q ** (n - d)}),
+            d > 1 and 2 * d < n)
+
+
 def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     """Partition F^n into (q^n - 1)/(q^d - 1) subspaces of dimension d."""
-    if n < 1 or d < 1 or d > n:
-        raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if n % d != 0:
-        raise ValueError(f"spread requires d | n, got d={d}, n={n}")
+    # the size guard comes first: partition_shape computes q^n
     size = check_enumeration_size(
         f.q, n, f"spread_partition(q={f.q}, n={n}, d={d})")
+    shape, literature = partition_shape("spread", f.q, n, d)
+    expected = shape[d]
     ext = FieldExtension(f, n)
-    top, q = ext.top, f.q
+    top = ext.top
     # GF(q^d)* inside the top field is the powers of its generator b, so
     # alpha, alpha b, ..., alpha b^(d-1) is a basis of alpha GF(q^d)
     units = top.subfield(f.m * d)[1:]
-
-    expected = (size - 1) // (q**d - 1)
     covered = bytearray(size)
     parts = []
     for alpha in range(1, size):
@@ -181,21 +195,19 @@ def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
             break
     if len(parts) != expected:
         raise AssertionError("spread sweep produced a wrong part count")
-    return Partition(f, n, d, "spread", tuple(parts), literature_range=True)
+    return Partition(f, n, d, "spread", tuple(parts),
+                     literature_range=literature)
 
 
 def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     """Partition F^n into one (n-d)-dimensional subspace and q^(n-d)
-    subspaces of dimension d.
+    subspaces of dimension d, for 1 <= d <= n/2 (``partition_shape``).
 
     The distinguished (n-d)-dimensional part is the span of the first n-d
-    coordinates and always comes first in ``parts``.  Valid for
-    1 <= d <= n/2; the classical statement assumes the strict range
-    1 < d < n/2, recorded in ``literature_range``.
+    coordinates and always comes first in ``parts``.
     """
-    if d < 1 or 2 * d > n:
-        raise ValueError(f"need 1 <= d <= n/2, got d={d}, n={n}")
     check_enumeration_size(f.q, n, f"mixed_partition(q={f.q}, n={n}, d={d})")
+    _, literature = partition_shape("mixed", f.q, n, d)
     ext = FieldExtension(f, n - d)
     top, q = ext.top, f.q
     t = n - d
@@ -213,29 +225,18 @@ def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
         if graph.dim != d:
             raise AssertionError("graph part has wrong dimension")
         parts.append(graph)
-    return Partition(
-        f, n, d, "mixed", tuple(parts),
-        literature_range=(d > 1 and 2 * d < n),
-    )
+    return Partition(f, n, d, "mixed", tuple(parts),
+                     literature_range=literature)
 
 
 def follows_kind(p: Partition) -> bool:
     """Whether the multiset of part dimensions and ``literature_range`` are
-    those the partition's kind constructs for its n, d and q: a spread
-    needs d | n and has (q^n - 1)/(q^d - 1) parts of dimension d, and a
-    mixed partition needs 1 <= d <= n/2 and has one part of dimension n - d
-    and q^(n-d) of dimension d.  The order of the parts is not read."""
-    n, d, q = p.n, p.d, p.field.q
-    if p.kind == "spread":
-        if not (1 <= d <= n and n % d == 0):
-            return False
-        want = Counter({d: (q**n - 1) // (q**d - 1)})
-        literature = True
-    else:
-        if not 1 <= d <= n - d:
-            return False
-        want = Counter({n - d: 1}) + Counter({d: q ** (n - d)})
-        literature = d > 1 and 2 * d < n
+    the ``partition_shape`` of the partition's kind, q, n and d; parameters
+    out of the kind's range fail.  The order of the parts is not read."""
+    try:
+        want, literature = partition_shape(p.kind, p.field.q, p.n, p.d)
+    except ValueError:
+        return False
     return (p.literature_range == literature
             and Counter(s.dim for s in p.parts) == want)
 

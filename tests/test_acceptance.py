@@ -256,9 +256,9 @@ def test_nu_case_split_all_four_branches():
 
     fin_field_inf_dim = nu(SpaceSpec(f3, None), 2)
     assert fin_field_inf_dim.kind == "field-power-plus-point"
-    assert fin_field_inf_dim.counted(3) == 3**2 + 1
+    assert fin_field_inf_dim.count == 3**2 + 1
 
     inf_field_fin_dim = nu(SpaceSpec(None, 9), 2)
     assert inf_field_fin_dim.kind == "field-power-plus-point"
-    assert inf_field_fin_dim.counted() is None
+    assert inf_field_fin_dim.count is None
     print("ACCEPTANCE (case split): PASS - all four classifier branches")

@@ -69,6 +69,15 @@ class TestNu:
                            "--n", "3", "--k", "1")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--m", "5", "--n", "4"], ["--m", "0", "--infinite-dim"],
+    ], ids=["finite-dim", "infinite-dim"])
+    def test_extension_degree_with_an_infinite_field(self, capsys, argv):
+        code, out, err = run(capsys, "nu", "--infinite-field", *argv,
+                             "--k", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: give either --p/--m or --infinite-field")
+
 
 class TestCover:
     def test_verified_cover_2_7_5(self, capsys):
@@ -478,6 +487,25 @@ class TestSizeGuards:
         self.assert_rejected(run(capsys, "oracle", "min", "--p", "2", "--n",
                                  str(self.HUGE), "--k", "1"))
 
+    @pytest.mark.parametrize("argv", [
+        ["nu", "--p", "2", "--n", str(HUGE), "--k", "1"],
+        ["nu", "--p", "2", "--infinite-dim", "--k", str(HUGE)],
+        ["limit", "--n", str(HUGE), "--k", "1"],
+    ], ids=["nu-finite-dim", "nu-infinite-dim", "limit"])
+    def test_huge_symbolic_size(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "fixed symbolic bound" in err
+
+    def test_symbolic_size_just_under_the_bound(self, capsys):
+        # q^n of 2^20 bits is built; the count itself is 3
+        code, out, _ = run(capsys, "nu", "--p", "2", "--n", str(2**20),
+                           "--k", "1")
+        assert code == 0 and out.strip() == "3"
+        code, _, err = run(capsys, "nu", "--p", "2", "--n", str(2**20 + 1),
+                           "--k", "1")
+        assert code == 1 and "fixed symbolic bound" in err
+
     def test_huge_cover(self, capsys):
         self.assert_rejected(run(capsys, "cover", "--p", "2", "--n",
                                  str(self.HUGE), "--k", "1"))
@@ -547,19 +575,15 @@ def main_survives(argv: list[str]) -> int:
 
 # Integer flag values, as (usual, rare) draws: small, or negative, zero,
 # huge or not integers.  The small ones stay at most 3, so that with a
-# raised SUBCOVER_MAX_Q_POW the largest space drawn is GF(27)^3.  nu, limit
-# and assign have no size guard (their arithmetic is symbolic), and a
-# dimension or codimension of 10^12 there exhausts memory, so their "huge"
-# is 10^4.
+# raised SUBCOVER_MAX_Q_POW the largest space drawn is GF(27)^3.
 SMALL = st.sampled_from(["1", "2", "3"])
 NOT_SMALL = ["-1", "0", "x", "2.5", "", "1e3", "0x10"]
 INTS = (SMALL, st.sampled_from(NOT_SMALL + [str(10**12)]))
-SYMBOLIC_INTS = (SMALL, st.sampled_from(NOT_SMALL + [str(10**4)]))
 FIELD_FLAGS = [("--p", INTS), ("--m", INTS)]
 FLAG = None  # a flag that takes no value
 FILE = object()  # a path from the verify_inputs fixture
 COMMANDS = {
-    ("nu",): FIELD_FLAGS + [("--n", SYMBOLIC_INTS), ("--k", SYMBOLIC_INTS),
+    ("nu",): FIELD_FLAGS + [("--n", INTS), ("--k", INTS),
                             ("--infinite-field", FLAG),
                             ("--infinite-dim", FLAG)],
     ("cover",): FIELD_FLAGS + [("--n", INTS), ("--k", INTS),
@@ -569,7 +593,7 @@ COMMANDS = {
         ("--kind", st.sampled_from(["spread", "mixed", "other"]))],
     ("oracle", "min"): FIELD_FLAGS + [("--n", INTS), ("--k", INTS)],
     ("assign",): [
-        ("--k", SYMBOLIC_INTS),
+        ("--k", INTS),
         ("--vector", st.sampled_from(["0,5,7,1,2", "1,2", "0,0,0", "x",
                                       "1/0", "", "3/4,-2," * 3])),
         ("--positions", st.sampled_from(["0,1", "0,2,1", "1,1", "-1,2",
@@ -578,7 +602,7 @@ COMMANDS = {
         '{"1":"2","7":"1/3"}', "{}", '{"1":"0"}', '{"-1":"1"}', '{"x":1}',
         '{"1":"1/0"}', '{"1":1e400}', "[1]", "[" * 20000 + "]" * 20000,
         '{"1":' + "7" * 5000 + "}", "{"]))],
-    ("limit",): [("--n", SYMBOLIC_INTS), ("--k", SYMBOLIC_INTS)],
+    ("limit",): [("--n", INTS), ("--k", INTS)],
     ("verify",): [("--cover", FILE), ("--partition", FILE)],
 }
 ENV_BOUNDS = st.sampled_from([
@@ -692,6 +716,12 @@ class TestAssignCommand:
     def test_bad_vector(self, capsys):
         code, _, err = run(capsys, "assign", "--k", "1", "--vector", "1,x")
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("k", ["2", str(10**12)])
+    def test_k_past_the_vector(self, capsys, k):
+        code, out, err = run(capsys, "assign", "--k", k, "--vector", "1,2")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: k={k} needs")
 
 
 class TestCountableCommand:

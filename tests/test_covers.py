@@ -60,12 +60,12 @@ class TestNu:
         for k in (1, 2, 5):
             got = nu(SpaceSpec(F3, None), k)
             assert got.kind == FIELD_POWER_PLUS_POINT and got.k == k
-            assert got.counted(3) == 3**k + 1
+            assert got.count == 3**k + 1
 
     def test_infinite_field_finite_dim(self):
         got = nu(SpaceSpec(None, 10), 4)
         assert got.kind == FIELD_POWER_PLUS_POINT and got.k == 4
-        assert got.counted() is None
+        assert got.count is None
 
     def test_monotone_in_k(self):
         for q in (2, 3, 4):

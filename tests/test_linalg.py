@@ -331,11 +331,12 @@ class TestEnumerateVectors:
 
 class TestSpanTuples:
     # q**(n-1) exceeds SPAN_BLOCK for GF(2)^14, GF(3)^9 and GF(9)^5, so
-    # their largest spans are walked as head combinations over a tail block;
-    # a block of 8 makes most spans sum several head rows, and leaves
-    # GF(2^8), GF(2^9) and GF(257) with no tail rows at all.  Above 256
-    # elements the columns are lists, not bytes; GF(257)^3 sums two head
-    # rows of them.
+    # their largest spans are walked as a head span over a tail block; a
+    # block of 8 makes most spans enumerate their head through several
+    # levels of that recursion.  GF(2^8), GF(2^9) and GF(257) have more
+    # than 8 multiples of a row, so there the tail keeps its one row.
+    # Above 256 elements the columns are lists, not bytes; GF(257)^3's
+    # planes shift them by the vectors of a one-row head.
     @pytest.mark.parametrize("block", [linalg.SPAN_BLOCK, 8])
     @pytest.mark.parametrize("p,m,n", [
         (2, 1, 14), (2, 2, 6), (3, 1, 9), (3, 2, 5), (5, 1, 5), (2, 8, 2),

@@ -1,6 +1,7 @@
 """Spread and mixed partitions, plus the extension-field model behind them."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -11,9 +12,11 @@ from subcover.oracle import verify_partition
 from subcover.partitions import (
     FieldExtension,
     Partition,
+    follows_kind,
     mixed_partition,
     partition_from_json,
     partition_to_json,
+    partition_shape,
     spread_partition,
 )
 
@@ -185,6 +188,29 @@ class TestMixed:
 
     def test_deterministic(self):
         assert mixed_partition(F4, 4, 2) == mixed_partition(F4, 4, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("kind,build", [("spread", spread_partition),
+                                        ("mixed", mixed_partition)])
+def test_builders_follow_the_shape(kind, build, q):
+    """Each builder raises exactly when ``partition_shape`` does, with its
+    message, and otherwise builds the shape's part dimensions and
+    ``literature_range``, which ``follows_kind`` accepts."""
+    f = field_new(2, 2) if q == 4 else field_new(q, 1)
+    for n in range(1, 7):
+        for d in range(-1, n + 2):
+            try:
+                want, literature = partition_shape(kind, q, n, d)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as built:
+                    build(f, n, d)
+                assert str(built.value) == str(exc)
+                continue
+            p = build(f, n, d)
+            assert Counter(s.dim for s in p.parts) == want
+            assert p.literature_range == literature
+            assert follows_kind(p)
 
 
 class TestJson:
