@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import covers, gf, oracle, partitions
@@ -24,6 +25,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of n, however many: ``str`` of an int, which
+    ``json.dumps`` calls too, stops at ``sys.get_int_max_str_digits()``
+    digits, and ``Decimal`` has no such limit."""
+    return str(Decimal(n))
 
 
 def _field_from_args(args) -> gf.FieldDescriptor:
@@ -49,8 +57,15 @@ def _cmd_nu(args) -> int:
     if dim is None and not args.infinite_dim:
         raise ValueError("--n or --infinite-dim is required")
     card = covers.nu(SpaceSpec(field, dim), args.k)
-    print(card.count if card.kind == covers.FINITE
-          else _dump(covers.cardinality_to_json(card)))
+    if card.kind == covers.FINITE:
+        print(_int_text(card.count))
+        return 0
+    doc = covers.cardinality_to_json(card)
+    count = doc.pop("count", None)
+    text = _dump(doc)
+    if count is not None:  # "count" is the first key in sorted order
+        text = f'{{"count":{_int_text(count)},{text[1:]}'
+    print(text)
     return 0
 
 
@@ -136,7 +151,7 @@ def _cmd_countable(args) -> int:
         support = {int(idx): Fraction(str(val)) for idx, val in raw.items()}
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad support entry: {exc}") from exc
-    print(covers.countable_cover_index(support))
+    print(_int_text(covers.countable_cover_index(support)))
     return 0
 
 

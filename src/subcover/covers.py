@@ -26,7 +26,7 @@ from .linalg import (
     quotient,
     subspace_from_generators,
     subspaces_from_json,
-    subspace_to_json,
+    subspaces_to_json,
 )
 from .partitions import mixed_partition, spread_partition
 
@@ -480,7 +480,7 @@ def cover_to_json(c: Cover) -> dict:
         "ambient": {"field": field_to_json(c.field), "n": c.n},
         "codim": c.codim,
         "count": c.count,
-        "subspaces": [subspace_to_json(s) for s in c.subspaces],
+        "subspaces": subspaces_to_json(c.subspaces, c.field),
         "provenance": provenance_to_json(c.provenance),
     }
 

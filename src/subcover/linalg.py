@@ -4,6 +4,13 @@ Vectors and matrix rows are plain tuples of canonical integer encodings
 (see ``gf``); there is no wrapped vector type.  A subspace is always held
 in reduced row-echelon form, which makes set equality a plain tuple
 comparison and lets subspaces be deduplicated through hashing.
+
+Encodings are checked where they enter: the public entry points (``rref``,
+``subspace_from_generators``, ``kernel``, ``subspace_from_rref`` and the
+JSON readers) check every entry of each input once.  A construction that
+builds a family of subspaces checks all of its generator rows in one call
+of ``_spans``, which then reduces each part through the one elimination
+routine, ``_eliminate``, without checking it again.
 """
 
 from __future__ import annotations
@@ -56,16 +63,38 @@ def rref(f: FieldDescriptor, matrix: Sequence[Sequence[int]]
     The returned matrix has the same shape as the input (zero rows sink to
     the bottom).  Raises ValueError on ragged input or bad encodings.
     """
-    rows = list(map(list, matrix))
+    rows = list(map(tuple, matrix))
     if not rows:
         return (), 0
-    nrows, ncols = len(rows), len(rows[0])
-    if set(map(len, rows)) != {ncols}:
+    if set(map(len, rows)) != {len(rows[0])}:
         raise ValueError("ragged matrix")
     _check_encodings(f.q, rows, "matrix")
+    reduced, pivots = _eliminate(f, rows)
+    return reduced, len(pivots)
+
+
+def _eliminate(f: FieldDescriptor, rows: Sequence[Row]
+               ) -> tuple[tuple[Row, ...], tuple[int, ...]]:
+    """``rref`` of a non-empty list of equal-length tuples whose entries
+    the caller has checked, with its pivot columns.  One row is scaled by
+    the inverse of its first nonzero entry, found at C speed; more rows are
+    reduced column by column."""
+    if len(rows) == 1:
+        row = rows[0]
+        c = next(filter(None, row), 0)
+        if not c:
+            return (row,), ()
+        lead = row.index(c)
+        if c != 1:
+            row = (0,) * lead + tuple(map(f.mul, repeat(f.inv(c)),
+                                          row[lead:]))
+        return (row,), (lead,)
+    rows = list(map(list, rows))
+    nrows, ncols = len(rows), len(rows[0])
     sub, mul, inv = f.sub, f.mul, f.inv
-    pivot_row = 0
+    pivots = []
     for col in range(ncols):
+        pivot_row = len(pivots)
         for src in range(pivot_row, nrows):
             if rows[src][col]:
                 break
@@ -83,10 +112,10 @@ def rref(f: FieldDescriptor, matrix: Sequence[Sequence[int]]
                 for j in range(col, ncols):
                     if piv[j]:
                         row[j] = sub(row[j], mul(factor, piv[j]))
-        pivot_row += 1
-        if pivot_row == nrows:
+        pivots.append(col)
+        if len(pivots) == nrows:
             break
-    return tuple(map(tuple, rows)), pivot_row
+    return tuple(map(tuple, rows)), tuple(pivots)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,21 +144,30 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.field!r}^{self.n})"
 
 
-def _pivots_of_rref(basis: Sequence[Row]) -> tuple[int, ...]:
-    # a reduced row's lead is 1 with only zeros before it
-    return tuple(map(tuple.index, basis, repeat(1)))
-
-
 def subspace_from_generators(f: FieldDescriptor, n: int,
                              vectors: Iterable[Sequence[int]]) -> Subspace:
     """Canonical subspace equal to the span of the generators."""
-    rows = list(map(tuple, vectors))
-    for row in rows:
-        if len(row) != n:
-            raise ValueError(f"generator has length {len(row)}, ambient is {n}")
-    reduced, rank = rref(f, rows)
-    basis = reduced[:rank]
-    return Subspace(f, n, basis, _pivots_of_rref(basis))
+    return _spans(f, n, [list(map(tuple, vectors))])[0]
+
+
+def _spans(f: FieldDescriptor, n: int, gens: Sequence[Sequence[Row]]
+           ) -> tuple[Subspace, ...]:
+    """The span of each list of generator tuples in ``gens``.  All their
+    rows are checked first, in one pass: each must have length n and hold
+    integer encodings of f, so a construction checks a family at once."""
+    rows = list(chain(*gens))
+    if set(map(len, rows)) - {n}:
+        bad = next(row for row in rows if len(row) != n)
+        raise ValueError(f"generator has length {len(bad)}, ambient is {n}")
+    _check_encodings(f.q, rows, "matrix")
+    return tuple(map(_span, repeat(f), repeat(n), gens))
+
+
+def _span(f: FieldDescriptor, n: int, rows: Sequence[Row]) -> Subspace:
+    if not rows:
+        return Subspace(f, n, (), ())
+    reduced, pivots = _eliminate(f, rows)
+    return Subspace(f, n, reduced[:len(pivots)], pivots)
 
 
 def subspace_from_rref(f: FieldDescriptor, n: int,
@@ -378,11 +416,16 @@ def invert_matrix(f: FieldDescriptor, rows: Sequence[Row]) -> tuple[Row, ...]:
 
 
 def subspace_to_json(s: Subspace) -> dict:
-    return {
-        "field": field_to_json(s.field),
-        "n": s.n,
-        "basis": [list(r) for r in s.basis],
-    }
+    return subspaces_to_json([s], s.field)[0]
+
+
+def subspaces_to_json(subspaces: Iterable[Subspace],
+                      ambient: FieldDescriptor) -> list[dict]:
+    """Documents of subspaces over the field ``ambient``, all holding one
+    shared field document, the inverse of ``subspaces_from_json``."""
+    field_doc = field_to_json(ambient)
+    return [{"field": field_doc, "n": s.n, "basis": list(map(list, s.basis))}
+            for s in subspaces]
 
 
 def subspace_from_json(doc: dict) -> Subspace:

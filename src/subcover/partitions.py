@@ -27,10 +27,10 @@ from .gf import (FieldDescriptor, field_from_json, field_new, field_to_json,
 from .linalg import (
     Subspace,
     invert_matrix,
+    _spans,
     span_tuples,  # unused; perfbench's tests read partitions.span_tuples
-    subspace_from_generators,
     subspaces_from_json,
-    subspace_to_json,
+    subspaces_to_json,
 )
 
 
@@ -170,33 +170,27 @@ def partition_shape(kind: str, q: int, n: int, d: int
 def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     """Partition F^n into (q^n - 1)/(q^d - 1) subspaces of dimension d."""
     # the size guard comes first: partition_shape computes q^n
-    size = check_enumeration_size(
-        f.q, n, f"spread_partition(q={f.q}, n={n}, d={d})")
+    check_enumeration_size(f.q, n, f"spread_partition(q={f.q}, n={n}, d={d})")
     shape, literature = partition_shape("spread", f.q, n, d)
-    expected = shape[d]
     ext = FieldExtension(f, n)
     top = ext.top
-    # GF(q^d)* inside the top field is the powers of its generator b, so
-    # alpha, alpha b, ..., alpha b^(d-1) is a basis of alpha GF(q^d)
+    # With g the top field's generator, GF(q^d)* is the powers of
+    # b = g^step, step = (q^n - 1)/(q^d - 1), so the parts' unit sets, the
+    # cosets alpha GF(q^d)*, are the powers g^(i + j step) for each i below
+    # step.  Led by its least element alpha, a coset has the basis alpha,
+    # alpha b, ..., alpha b^(d-1); the parts go in increasing alpha.
     units = top.subfield(f.m * d)[1:]
-    covered = bytearray(size)
-    parts = []
-    for alpha in range(1, size):
-        if covered[alpha]:
-            continue
-        coset = list(map(top.mul, repeat(alpha), units))
-        for e in coset:
-            covered[e] = 1
-        part = subspace_from_generators(f, n, map(ext.to_coords, coset[:d]))
-        if part.dim != d:
-            raise AssertionError("coset has wrong dimension")
-        parts.append(part)
-        if len(parts) == expected:
-            break
-    if len(parts) != expected:
+    powers = top.subfield(top.m)[1:]
+    step = len(powers) // len(units)
+    alphas = sorted(min(powers[i::step]) for i in range(step))
+    if len(alphas) != shape[d]:
         raise AssertionError("spread sweep produced a wrong part count")
-    return Partition(f, n, d, "spread", tuple(parts),
-                     literature_range=literature)
+    basis = units[:d]
+    parts = _spans(f, n, [[ext.to_coords(top.mul(alpha, b)) for b in basis]
+                          for alpha in alphas])
+    if any(part.dim != d for part in parts):
+        raise AssertionError("coset has wrong dimension")
+    return Partition(f, n, d, "spread", parts, literature_range=literature)
 
 
 def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
@@ -212,21 +206,16 @@ def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     top, q = ext.top, f.q
     t = n - d
 
-    distinguished = subspace_from_generators(
-        f, n, [tuple(1 if j == i else 0 for j in range(n)) for i in range(t)]
-    )
-    parts = [distinguished]
+    gens = [[tuple(1 if j == i else 0 for j in range(n)) for i in range(t)]]
     basis_b = ext.power_basis[:d]
     units = [tuple(1 if c == j else 0 for c in range(d)) for j in range(d)]
     for a in range(q**t):
         images = map(ext.to_coords, map(top.mul, repeat(a), basis_b))
-        graph = subspace_from_generators(f, n,
-                                         map(tuple.__add__, images, units))
-        if graph.dim != d:
-            raise AssertionError("graph part has wrong dimension")
-        parts.append(graph)
-    return Partition(f, n, d, "mixed", tuple(parts),
-                     literature_range=literature)
+        gens.append(list(map(tuple.__add__, images, units)))
+    parts = _spans(f, n, gens)
+    if any(graph.dim != d for graph in parts[1:]):
+        raise AssertionError("graph part has wrong dimension")
+    return Partition(f, n, d, "mixed", parts, literature_range=literature)
 
 
 def follows_kind(p: Partition) -> bool:
@@ -247,7 +236,7 @@ def partition_to_json(p: Partition) -> dict:
         "ambient": {"field": field_to_json(p.field), "n": p.n},
         "d": p.d,
         "literature_range": p.literature_range,
-        "parts": [subspace_to_json(s) for s in p.parts],
+        "parts": subspaces_to_json(p.parts, p.field),
     }
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -45,6 +46,23 @@ class TestNu:
         assert code == 0
         assert out.strip() == "537002017"
         assert int(out) == 2**29 + 2**17 + 2**5 + 1
+
+    def test_counts_past_the_int_digit_limit(self, capsys):
+        # 2^20000 +- 1 have 6021 digits; str of an int stops at 4300 by
+        # default (Python >= 3.10.7), and the limit must stay as it was
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        code, out, err = run(capsys, "nu", "--p", "2", "--n", "20000",
+                             "--k", "19999")
+        assert code == 0 and err == ""
+        assert len(out.strip()) == 6021 and Decimal(out) == 2**20000 - 1
+        code, out, err = run(capsys, "nu", "--p", "2", "--infinite-dim",
+                             "--k", "20000")
+        assert code == 0 and err == ""
+        assert json.loads(out, parse_int=Decimal) == {
+            "count": 2**20000 + 1, "k": 20000,
+            "kind": "field-power-plus-point"}
+        assert limit() == before
 
     def test_finite_field_infinite_dim(self, capsys):
         code, out, _ = run(capsys, "nu", "--p", "2", "--infinite-dim",
@@ -131,6 +149,15 @@ PINNED_OUTPUT = [
      "67d4b924d2367cd0881e246b26215f0b29a5a358d03d8f497506e1bd0ed2041e"),
     ("cover --p 3 --n 5 --k 2",
      "31f9fc93a31dd4608b7a30d67256a6be691e2e5d4feaca62640fe25eafd78d15"),
+    # one-dimensional parts whose generator leads with an entry other than 1
+    ("partition --p 3 --n 4 --d 1 --kind spread",
+     "249ac068c4577d5319fe8c1add515c11b3a954c3832f540b7f9b5263eb80273e"),
+    ("partition --p 3 --n 4 --d 1 --kind mixed",
+     "e0705efcb51f6a9952d396608083d45278b895286206eb3ece899a423045a122"),
+    ("cover --p 3 --n 3 --k 2",
+     "3a6cc41a6f747ddf23c52f7d4da0ea434a8349cb881b8935026986ad6ddb3aa2"),
+    ("partition --p 257 --n 2 --d 1 --kind spread",
+     "fdd9a34eeae84ac46cb8a9add70580be93820fe196a99335d2d5060610141432"),
 ]
 
 
@@ -733,6 +760,13 @@ class TestCountableCommand:
     def test_zero_vector(self, capsys):
         code, out, _ = run(capsys, "countable", "--support", "{}")
         assert code == 0 and out.strip() == "0"
+
+    def test_index_past_the_int_digit_limit(self, capsys):
+        # the largest index int() reads has 4300 digits; one more is 10^4300
+        code, out, err = run(capsys, "countable", "--support",
+                             '{"%s":"1"}' % ("9" * 4300))
+        assert code == 0 and err == ""
+        assert out == "1" + "0" * 4300 + "\n"
 
     def test_zero_scalar_rejected(self, capsys):
         code, _, err = run(capsys, "countable", "--support", '{"3":"0"}')

@@ -530,6 +530,20 @@ def test_pivots_are_the_leading_columns(f, n, data):
                              for row in s.basis)
 
 
+@pytest.mark.parametrize("f,row", [
+    (F3, (0, 2, 1, 2)),
+    (F4, (0, 2, 3, 1)),  # lead x
+    (field_new(257, 1), (0, 256, 3, 0, 128)),
+    (F3, (0, 0, 0)),
+], ids=["lead-2-gf3", "lead-x-gf4", "lead-256-gf257", "zero-row"])
+def test_one_row_matches_the_reference(f, row):
+    # one row takes its own route: scaled by its lead's inverse at once
+    reduced, rank = _ref_rref(f, [row])
+    assert rref(f, [row]) == (reduced, rank)
+    s = subspace_from_generators(f, len(row), [row])
+    assert (s.basis, s.pivots) == _ref_from_generators(f, len(row), [row])
+
+
 class TestMatrixInverse:
     def test_round_trip(self):
         rng = random.Random(31)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from subcover import gf
+from subcover import gf, partitions
 from subcover.gf import FIELD_CACHE_SIZE, field_new, is_prime
 from subcover.linalg import intersect, subspace_from_generators
 from subcover.oracle import verify_partition
@@ -211,6 +211,58 @@ def test_builders_follow_the_shape(kind, build, q):
             assert Counter(s.dim for s in p.parts) == want
             assert p.literature_range == literature
             assert follows_kind(p)
+
+
+def _small_partitions():
+    """(build, f, n, d) of every spread and mixed partition of GF(q)^n
+    with n >= 2 and q^n <= 2^10."""
+    for q in range(2, 33):
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        m = next((m for m in range(1, 6) if p**m == q), None)
+        if m is None:
+            continue
+        f = field_new(p, m)
+        for n in itertools.takewhile(lambda n: q**n <= 2**10,
+                                     itertools.count(2)):
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    yield spread_partition, f, n, d
+                if 2 * d <= n:
+                    yield mixed_partition, f, n, d
+
+
+def test_parts_are_the_checked_spans_of_their_generators(monkeypatch):
+    # the constructions check their rows once per family and then reduce
+    # each part unchecked; each part must be what the checked public path
+    # builds from the same generators
+    seen = []
+    spans = partitions._spans
+
+    def record(f, n, gens):
+        seen.append((f, n, gens))
+        return spans(f, n, gens)
+
+    monkeypatch.setattr(partitions, "_spans", record)
+    for build, f, n, d in _small_partitions():
+        parts = build(f, n, d).parts
+        f, n, gens = seen.pop()
+        assert parts == tuple(subspace_from_generators(f, n, rows)
+                              for rows in gens)
+
+
+@pytest.mark.parametrize("bad", [-1, 4, True, 1.0])
+@pytest.mark.parametrize("build", [spread_partition, mixed_partition])
+def test_a_bad_generator_entry_is_rejected(monkeypatch, build, bad):
+    # one out-of-range entry, in the part generated by the top field's 1
+    to_coords = FieldExtension.to_coords
+
+    def corrupt(self, w):
+        coords = to_coords(self, w)
+        return (bad,) + coords[1:] if w == 1 else coords
+
+    monkeypatch.setattr(FieldExtension, "to_coords", corrupt)
+    with pytest.raises(ValueError, match="integer encodings in"):
+        build(F4, 4, 2)
 
 
 class TestJson:
