@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error (bad arguments, malformed input),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal
@@ -170,7 +171,10 @@ def _add_field_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, help="extension degree (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it as
+    it was, and each ``parse_args`` call returns a fresh namespace."""
     parser = _Parser(prog="subcover",
                      description="Covers and partitions of finite vector "
                                  "spaces by subspaces of fixed codimension.")
@@ -240,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,19 +26,6 @@ from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
 Row = tuple[int, ...]
 
 
-def linear_combination(f: FieldDescriptor, coeffs: Sequence[int],
-                       rows: Sequence[Row]) -> Row:
-    """sum(coeffs[i] * rows[i]); rows must be non-empty and equal length."""
-    out = [0] * len(rows[0])
-    add, mul = f.add, f.mul
-    for c, row in zip(coeffs, rows, strict=True):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] = add(out[j], mul(c, x))
-    return tuple(out)
-
-
 def _check_encodings(q: int, rows: Sequence[Sequence], what: str) -> None:
     """Raise ValueError unless every entry is an integer encoding of GF(q):
     a plain int in [0, q), so a bool or a float is not.  The types are read
@@ -350,12 +337,18 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
     ``byte_tables``; above, it is a list shifted by the field's ``add``.
     Each level of the recursion, one row shorter at least, holds a tail of
     at most max(SPAN_BLOCK, q) vectors.
+
+    One row over q <= 256 builds no columns: its multiple by c = 0, 1, ...
+    is the row's ``bytes`` translated by c's multiplication table.
     """
     q = f.q
     if not width:  # zip of no columns would yield nothing
         yield from repeat((), q**len(rows))
         return
     tables = f.byte_tables
+    if len(rows) == 1 and tables is not None:
+        yield from map(tuple, map(bytes(rows[0]).translate, tables[1]))
+        return
     if tables is None:
         add, mul = f.add, f.mul
         zero = [0]
@@ -415,10 +408,6 @@ def invert_matrix(f: FieldDescriptor, rows: Sequence[Row]) -> tuple[Row, ...]:
     return tuple(r[n:] for r in reduced[:n])
 
 
-def subspace_to_json(s: Subspace) -> dict:
-    return subspaces_to_json([s], s.field)[0]
-
-
 def subspaces_to_json(subspaces: Iterable[Subspace],
                       ambient: FieldDescriptor) -> list[dict]:
     """Documents of subspaces over the field ``ambient``, all holding one
@@ -426,11 +415,6 @@ def subspaces_to_json(subspaces: Iterable[Subspace],
     field_doc = field_to_json(ambient)
     return [{"field": field_doc, "n": s.n, "basis": list(map(list, s.basis))}
             for s in subspaces]
-
-
-def subspace_from_json(doc: dict) -> Subspace:
-    """Parse a subspace document."""
-    return subspaces_from_json([doc])[0]
 
 
 def subspaces_from_json(docs: list, ambient: FieldDescriptor | None = None

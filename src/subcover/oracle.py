@@ -18,7 +18,9 @@ Shared with the construction code: the ``Subspace`` type and the field
 descriptor, whose ``add`` and ``mul`` the search calls and whose
 ``byte_tables`` (one ``bytes.translate`` table per element for addition
 and for multiplication, q <= 256) the span enumerator
-``linalg.span_tuples`` reads to list every vector here.  The constructions
+``linalg.span_tuples`` reads to list every vector here: a one-row
+member's vectors are its row translated by each ``muls`` table, so the
+verifier reads the multiplication tables through it.  The constructions
 do not call ``span_tuples``; they read their subfields off the field's
 log/antilog tables.  The counting bound is computed here, not taken from
 the constructions' closed form; only the check that a cover's provenance
@@ -33,7 +35,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, product, repeat
-from operator import getitem, mul
+from operator import attrgetter, getitem, mul
 from sys import byteorder
 
 from .bounds import MAX_MASK_BITS, MAX_SUBSPACES, check_enumeration_size
@@ -130,17 +132,19 @@ def _index_vector(idx: int, q: int, n: int) -> Row:
 
 
 def _hit_counts(f: FieldDescriptor, n: int, members, what: str) -> bytearray:
-    """Hits per vector index over every vector of every member subspace,
-    saturating at 2."""
+    """Hits per vector index over every nonzero vector of every member
+    subspace, saturating at 2.  The members' spans are read as one stream;
+    each starts with the zero vector, which is skipped, so hits[0] is 0."""
     q = f.q
     hits = bytearray(
         check_enumeration_size(q, n, f"verifying a {what} of GF({q})^{n}"))
     weights = [q**i for i in range(n)]  # a vector's index is sum(v_i * q**i)
-    for s in members:
-        vecs = span_tuples(f, s.basis, n)
-        for i in map(sum, map(map, repeat(mul), vecs, repeat(weights))):
-            if hits[i] < 2:
-                hits[i] += 1
+    spans = map(span_tuples, repeat(f), map(attrgetter("basis"), members),
+                repeat(n))
+    vecs = chain.from_iterable(map(islice, spans, repeat(1), repeat(None)))
+    for i in map(sum, map(map, repeat(mul), vecs, repeat(weights))):
+        if hits[i] < 2:
+            hits[i] += 1
     return hits
 
 

@@ -59,8 +59,8 @@ class FieldExtension:
     """GF(q^t) modelled as a t-dimensional vector space over GF(q).
 
     Exposes the big field ``top`` = GF(p^(m*t)), the embedding of the base
-    field into it, and exact conversions between power-basis coordinate
-    tuples (length t over the base) and top-field encodings.  The
+    field into it, and the exact conversion of a top-field encoding to its
+    power-basis coordinate tuple (length t over the base).  The
     coordinates of w are the base-q digits of one integer flat(w): w itself
     over a prime base or at degree 1, else the GF(p)-linear image of w that
     takes x^i times the embedded base element p^j to p^(i*m + j).
@@ -105,15 +105,6 @@ class FieldExtension:
     def embed(self, c: int) -> int:
         """Image in the top field of a base-field encoding."""
         return c if self._embed is None else self._embed[c]
-
-    def from_coords(self, coords) -> int:
-        """Top-field element with the given power-basis coordinates."""
-        top = self.top
-        w = 0
-        for c, b in zip(coords, self.power_basis, strict=True):
-            if c:
-                w = top.add(w, top.mul(self.embed(c), b))
-        return w
 
     def to_coords(self, w: int) -> tuple[int, ...]:
         """Power-basis coordinates (base-field encodings) of a top element:

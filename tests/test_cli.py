@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -189,6 +190,51 @@ class TestPartition:
         code, _, err = run(capsys, "partition", "--p", "2", "--n", "5",
                            "--d", "2", "--kind", "spread")
         assert code == 1 and "error" in err
+
+
+# d = 1 families shuffled by a seed, with one member replaced by a copy of
+# another: sha256 of the verify report as printed, trailing newline
+# included; the uncovered and double-covered lists run in index order
+BROKEN_ONE_ROW_FAMILIES = [
+    ("partition --p 2 --n 10 --d 1 --kind spread",
+     "0b4fcc2b8b740e6dacaad2ccc8fa8e1e3d217abfd48e0e4944d863aef2321279"),
+    ("partition --p 3 --n 5 --d 1 --kind spread",
+     "e968b6390ed285dc5039edf46f35fdefc135e1874b5360657f557767ec66624a"),
+    ("partition --p 2 --m 2 --n 4 --d 1 --kind spread",
+     "7a2907de3dbbc2ef037f8b8565872acc74877855deaa24378408560d83aca015"),
+    ("partition --p 257 --n 2 --d 1 --kind spread",
+     "b093ee2b3d729445a8d9b83bb75f7797ebf26fea80f0087c65324b6acbbba729"),
+    ("cover --p 2 --n 8 --k 7",
+     "04afc2b63c4be09e827df9cc80d1593b1aab68a707975099145c4dbffe95f9ce"),
+    ("cover --p 3 --n 4 --k 3",
+     "9aae56b5259754b9acb9e36d070f8e5c73e90c6af6dce61480f3ad6d2670a7a0"),
+    ("cover --p 2 --m 2 --n 3 --k 2",
+     "1fc58f80a21b841e3dea67b028bb89f3c293d75139f451f09239a05953254078"),
+]
+
+
+@pytest.mark.parametrize("seed,command,digest", [
+    (seed, *case) for seed, case in enumerate(BROKEN_ONE_ROW_FAMILIES, 1)
+], ids=[c for c, _ in BROKEN_ONE_ROW_FAMILIES])
+def test_broken_one_row_family_report_is_pinned(capsys, tmp_path, seed,
+                                                command, digest):
+    _, out, _ = run(capsys, *command.split())
+    doc = json.loads(out)
+    key = "parts" if "parts" in doc else "subspaces"
+    rng = random.Random(seed)
+    rng.shuffle(doc[key])
+    i, j = rng.sample(range(len(doc[key])), 2)
+    doc[key][j] = copy.deepcopy(doc[key][i])
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    flag = "--partition" if key == "parts" else "--cover"
+    code, out, _ = run(capsys, "verify", flag, str(path))
+    assert code == 2
+    q = doc["ambient"]["field"]["p"] ** doc["ambient"]["field"]["m"]
+    report = json.loads(out)
+    assert len(report["uncovered"]) == q - 1
+    assert len(report["double_covered"]) == (q - 1 if key == "parts" else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyCommand:
@@ -795,14 +841,56 @@ class TestErrors:
         assert code == 1 and "prime" in err
 
 
-def test_console_entry_point():
-    # the child imports the same package as this process, installed or not
+def python_child(*args: str) -> subprocess.CompletedProcess:
+    """A Python child process that imports the same package as this
+    process, installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "subcover", "nu", "--p", "2", "--n", "2",
-         "--k", "1"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_console_entry_point():
+    proc = python_child("-m", "subcover", "nu", "--p", "2", "--n", "2",
+                        "--k", "1")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+# cover with and without --verify, so one call's flags cannot leak into the
+# next, a usage error in between, then a search
+ONE_PROCESS_ARGVS = [
+    ["cover", "--p", "2", "--n", "4", "--k", "2", "--verify"],
+    ["cover", "--p", "2", "--n", "4"],
+    ["cover", "--p", "2", "--n", "4", "--k", "2"],
+    ["oracle", "min", "--p", "2", "--n", "4", "--k", "2"],
+]
+
+ONE_PROCESS = """
+import contextlib, io, json, sys
+from subcover import cli
+built_at_import = cli.build_parser.cache_info().currsize
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([built_at_import, cli.build_parser.cache_info().misses,
+                  results]))
+"""
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    proc = python_child("-c", ONE_PROCESS, json.dumps(ONE_PROCESS_ARGVS))
+    assert proc.returncode == 0, proc.stderr
+    built_at_import, builds, results = json.loads(proc.stdout)
+    assert built_at_import == 0 and builds == 1
+    separate = [python_child("-m", "subcover", *argv)
+                for argv in ONE_PROCESS_ARGVS]
+    assert results == [[p.returncode, p.stdout, p.stderr] for p in separate]
+    assert [code for code, _, _ in results] == [0, 1, 0, 0]
+    assert results[1][2].startswith("error: ")
+    assert "verification" in json.loads(results[0][1])
+    assert "verification" not in json.loads(results[2][1])

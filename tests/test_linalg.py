@@ -18,21 +18,41 @@ from subcover.linalg import (
     invert_matrix,
     kernel,
     lift,
-    linear_combination,
     project,
     quotient,
     rref,
     span_tuples,
     subspace_from_generators,
-    subspace_from_json,
     subspace_sum,
-    subspace_to_json,
+    subspaces_from_json,
+    subspaces_to_json,
     zero_subspace,
 )
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
 F4 = field_new(2, 2)
+
+
+def linear_combination(f, coeffs, rows):
+    """sum(coeffs[i] * rows[i]) with one field operation per entry, the
+    reference the span enumerator must match; rows must be non-empty and
+    of equal length."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows, strict=True):
+        if c:
+            for j, x in enumerate(row):
+                if x:
+                    out[j] = f.add(out[j], f.mul(c, x))
+    return tuple(out)
+
+
+def subspace_to_json(s):
+    return subspaces_to_json([s], s.field)[0]
+
+
+def subspace_from_json(doc):
+    return subspaces_from_json([doc])[0]
 
 
 def random_subspace(rng, f, n, max_dim=None):
@@ -357,6 +377,26 @@ class TestSpanTuples:
                     for c in product(range(f.q), repeat=dim)]
             assert list(span_tuples(f, s.basis, n)) == want
 
+    # up to q = 256 one row is read off the multiplication tables; GF(257)
+    # and GF(2^9) keep the columns of the general path
+    @pytest.mark.parametrize("p,m", [
+        (2, 1), (3, 1), (2, 2), (2, 8), (257, 1), (2, 9),
+    ])
+    def test_one_row_matches_linear_combinations_in_order(self, p, m):
+        f = field_new(p, m)
+        rng = random.Random(10 * p + m)
+        lead = rng.randrange(2, f.q) if f.q > 2 else 1  # GF(2) has no other
+        top = f.q - 1
+        rows = [
+            (0, 0, 0),  # the zero row
+            (1, rng.randrange(f.q), top),  # lead 1
+            (0, lead, rng.randrange(f.q), top),  # a lead other than 1
+            (lead,), (1,), (0,),  # width 1
+        ]
+        for row in rows:
+            want = [linear_combination(f, (c,), [row]) for c in range(f.q)]
+            assert list(span_tuples(f, [row], len(row))) == want
+
     def test_list_columns_over_two_tail_rows(self, monkeypatch):
         # a default block holds one tail row above 256 elements, so only a
         # larger one joins list columns longer than one entry
@@ -563,6 +603,92 @@ class TestMatrixInverse:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             invert_matrix(F2, ((1, 1), (1, 1)))
+
+
+F257 = field_new(257, 1)
+
+
+# a one-row basis is rejected with the messages a row of a longer one gets
+@pytest.mark.parametrize("f,n,row,message", [
+    (F3, 3, [0, 0, 0], "zero row in basis"),
+    (F3, 1, [0], "zero row in basis"),
+    (F257, 2, [0, 0], "zero row in basis"),
+    (F3, 3, [0, 2, 1], "pivot entry is not 1"),
+    (F3, 1, [2], "pivot entry is not 1"),
+    (F4, 2, [0, 2], "pivot entry is not 1"),
+    (F257, 2, [256, 1], "pivot entry is not 1"),
+    (F3, 3, [1, 0], "basis row has wrong length"),
+    (F3, 3, [1, 0, 0, 0], "basis row has wrong length"),
+    (F3, 3, [True, 0, 0], "basis entries must be integer encodings in "
+                          "[0, 3), got [True, 0, 0]"),
+    (F3, 3, [0, 1, True], "basis entries must be integer encodings in "
+                          "[0, 3), got [0, 1, True]"),
+    (F3, 1, [True], "basis entries must be integer encodings in "
+                    "[0, 3), got [True]"),
+    (F3, 3, [1.0, 0, 0], "basis entries must be integer encodings in "
+                         "[0, 3), got [1.0, 0, 0]"),
+    (F3, 3, [1, -1, 0], "basis entries must be integer encodings in "
+                        "[0, 3), got [1, -1, 0]"),
+    (F3, 3, [1, 0, 3], "basis entries must be integer encodings in "
+                       "[0, 3), got [1, 0, 3]"),
+    (F3, 3, [0, 0, 3], "basis entries must be integer encodings in "
+                       "[0, 3), got [0, 0, 3]"),
+    (F3, 3, [2, 3, 0], "basis entries must be integer encodings in "
+                       "[0, 3), got [2, 3, 0]"),
+    (F4, 2, [0, 4], "basis entries must be integer encodings in "
+                    "[0, 4), got [0, 4]"),
+    (F257, 2, [1, 257], "basis entries must be integer encodings in "
+                        "[0, 257), got [1, 257]"),
+])
+def test_one_row_read_keeps_its_messages(f, n, row, message):
+    with pytest.raises(ValueError) as exc:
+        linalg.subspace_from_rref(f, n, [row])
+    assert str(exc.value) == message
+
+
+_F3_DOC = {"p": 3, "m": 1, "modulus": [0, 1]}
+
+
+# a family whose third document is bad and whose fourth lacks its basis:
+# the error named is the third's
+@pytest.mark.parametrize("third,message", [
+    ({"field": _F3_DOC, "n": 3},
+     "malformed subspace document: missing key 'basis'"),
+    ({"n": 3, "basis": [[1, 0, 0]]},
+     "malformed subspace document: missing key 'field'"),
+    ([1, 2], "malformed subspace document: expected an object, got list"),
+    ("doc", "malformed subspace document: expected an object, got str"),
+    ({"field": _F3_DOC, "n": True, "basis": [[1, 0, 0]]},
+     "subspace n must be an integer, got True"),
+    ({"field": _F3_DOC, "n": 0, "basis": [[1, 0, 0]]},
+     "subspace n must be at least 1, got 0"),
+    ({"field": _F3_DOC, "n": 3, "basis": [1, 0, 0]},
+     "malformed subspace document: basis must be a list of rows"),
+    ({"field": _F3_DOC, "n": 3, "basis": [[True, 0, 0]]},
+     "basis entries must be integer encodings in [0, 3), got [True, 0, 0]"),
+    ({"field": _F3_DOC, "n": 3, "basis": [[1, 0, 2.0]]},
+     "basis entries must be integer encodings in [0, 3), got [1, 0, 2.0]"),
+    ({"field": _F3_DOC, "n": 3, "basis": [[0, 0, 0]]}, "zero row in basis"),
+    ({"field": _F3_DOC, "n": 3, "basis": [[2, 0, 0]]},
+     "pivot entry is not 1"),
+    ({"field": _F3_DOC, "n": 3, "basis": [[1, 0]]},
+     "basis row has wrong length"),
+    ({"field": {"p": 3, "m": 1, "modulus": [1, 1]}, "n": 3,
+      "basis": [[1, 0, 0]]},
+     "modulus [1, 1] is not the canonical modulus for GF(3^1)"),
+    ({"field": {"p": 3, "m": 1}, "n": 3, "basis": [[1, 0, 0]]},
+     "malformed field document: missing key 'modulus'"),
+    ({"field": _F3_DOC, "n": 3, "basis": [[1, 0, 0], [1, 1, 0]]},
+     "pivot columns not strictly increasing"),
+])
+@pytest.mark.parametrize("ambient", [F3, None], ids=["ambient", "own-field"])
+def test_family_read_names_the_first_bad_document(third, message, ambient):
+    good = [{"field": _F3_DOC, "n": 3, "basis": [[1, 2, 0]]},
+            {"field": _F3_DOC, "n": 3, "basis": [[0, 1, 1]]}]
+    docs = good + [third, {"field": _F3_DOC, "n": 3}]
+    with pytest.raises(ValueError) as exc:
+        subspaces_from_json(docs, ambient)
+    assert str(exc.value) == message
 
 
 class TestJson:
