@@ -496,6 +496,6 @@ def cover_from_json(doc: dict) -> Cover:
         raise ValueError("malformed cover document: subspaces must be a list")
     subspaces = subspaces_from_json(subspaces, f)
     prov = provenance_from_json(prov)
-    if count != len(subspaces):
+    if json_int(count, "count", 0) != len(subspaces):
         raise ValueError("count does not match the subspace list")
     return Cover(f, n, codim, subspaces, prov)

@@ -12,8 +12,8 @@ descriptor builds log/antilog tables to the base of its least primitive
 element g (smallest encoding), so mul, div, inv, pow and neg are lookups.
 Addition is XOR of encodings in characteristic 2 and uses Zech logarithms
 for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n).
-While q <= 256, ``byte_tables`` also gives addition and multiplication by
-each element as ``bytes.translate`` tables, for whole columns at a time.
+While q <= 256, ``byte_tables`` writes ``add`` and ``mul`` out as one
+``bytes.translate`` table per element, for whole columns at a time.
 
 The modulus of GF(p^m) is always the lexicographically smallest monic
 irreducible polynomial of degree m over GF(p) (coefficient-tuple order,
@@ -207,28 +207,16 @@ class FieldDescriptor:
     def byte_tables(self) -> tuple[list[bytes], list[bytes]] | None:
         """``(adds, muls)`` for ``bytes.translate`` while q <= 256, else None.
 
-        ``adds[a]`` maps x to a + x and ``muls[c]`` maps x to c x, as
-        256-byte tables whose entries past q are 0.  ``adds`` is composed
-        from the m rows of the powers p^j, one translate per element;
-        ``muls[c]`` reads g^(log c + log x) off one window of the exp table.
+        ``adds[a]`` maps x to a + x and ``muls[c]`` maps x to c x: ``add``
+        and ``mul`` written out, one call per entry, as 256-byte tables
+        whose entries past q are 0.
         """
         q = self.q
         if q > 256:
             return None
-        exp, log, _, _ = self._tables
         pad = bytes(256 - q)
-        units = [bytes(self.add(u, x) for x in range(q)) + pad
-                 for u in (self.p**j for j in range(self.m))]
-        adds = [bytes(range(q)) + pad]
-        for a in range(1, q):
-            # a minus its lowest nonzero digit's place value, then that place
-            j = next(j for j, d in enumerate(self.digits(a)) if d)
-            adds.append(adds[a - self.p**j][:q].translate(units[j]) + pad)
-        logs = bytes(log[1:].tolist())
-        muls = [bytes(256)]
-        for c in range(1, q):
-            window = bytes(exp[log[c]:log[c] + q - 1].tolist())
-            muls.append(b"\0" + logs.translate(window + bytes(257 - q)) + pad)
+        adds, muls = ([bytes(map(op, itertools.repeat(a), range(q))) + pad
+                       for a in range(q)] for op in (self.add, self.mul))
         return adds, muls
 
     # -- arithmetic on integer encodings ------------------------------------
@@ -348,10 +336,13 @@ def json_fields(doc, what: str, *keys: str) -> list:
 
 
 def field_from_json(doc) -> FieldDescriptor:
-    """Parse a field document, rejecting anything non-canonical."""
+    """Parse a field document, rejecting anything non-canonical: p, m and
+    the modulus entries are plain ints, so 1.0 and True are not 1."""
     p, m, modulus = json_fields(doc, "field", "p", "m", "modulus")
     f = field_new(p, m)
-    if not isinstance(modulus, (list, tuple)) or list(f.modulus) != list(modulus):
+    if (not isinstance(modulus, (list, tuple))
+            or list(f.modulus) != list(modulus)
+            or set(map(type, modulus)) != {int}):
         raise ValueError(
             f"modulus {modulus} is not the canonical modulus for GF({p}^{m})"
         )

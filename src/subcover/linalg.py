@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
                  json_int)
@@ -311,44 +311,31 @@ def lift(q: LinearQuotient, s_bar: Subspace) -> Subspace:
     return subspace_from_generators(q.field, q.ambient_dim, gens)
 
 
-# The most tail vectors span_tuples holds at once, unless one row's q
-# multiples are more: the tail keeps at least one row.  Under the default
-# guard q > 4096 forces n = 1, so such a span has at most one row.
-SPAN_BLOCK = 4096
+class _Columns(dict):
+    """``dot_columns``' memo, a dict, not a recursive closure: a hit is a
+    lookup at C speed, and no reference cycle keeps the memo alive."""
+
+    def __init__(self, zero, multiples, spread):
+        super().__init__({(): zero})
+        self.multiples, self.spread = multiples, spread
+
+    def __missing__(self, u: Row):
+        m = self.multiples(u[0])  # spread(self[()], m) is m itself
+        self[u] = col = self.spread(self[u[1:]], m) if len(u) > 1 else m
+        return col
 
 
-def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
-                width: int) -> Iterator[Row]:
-    """All q**len(rows) vectors sum(c_i * rows[i]), lazily, ordered by the
-    coefficient tuples (c_0, c_1, ...) in lexicographic order over the
-    canonical field order (first coefficient slowest).
-
-    The span of the last rows, the tail block, is built once as ``width``
-    columns: at least one row, and more while it stays within SPAN_BLOCK
-    vectors.  Column j of the span of rows r_0.., with entries
-    u = (r_0[j], ...), is the column of u[1:] shifted by each of the q
-    multiples of u[0], joined; a one-entry column is the q multiples
-    themselves.  Each distinct u, and each suffix it needs, is built once,
-    however many columns share it (in a reduced basis most do), and the
-    columns are then looked up.  The tail columns are shifted by each
-    vector of the head rows' span, which this function enumerates, and the
-    vectors are read off the columns with ``zip``.  While q <= 256 a column
-    is ``bytes`` and a shift is one ``bytes.translate`` through the field's
-    ``byte_tables``; above, it is a list shifted by the field's ``add``.
-    Each level of the recursion, one row shorter at least, holds a tail of
-    at most max(SPAN_BLOCK, q) vectors.
-
-    One row over q <= 256 builds no columns: its multiple by c = 0, 1, ...
-    is the row's ``bytes`` translated by c's multiplication table.
-    """
+def dot_columns(f: FieldDescriptor) -> tuple[Callable, Callable]:
+    """``(column, shift)`` over f.  ``column(u)`` is <c, u> for every c in
+    F^len(u), in product order (first coordinate slowest): the column of
+    u[1:] shifted by each of the q multiples of u[0], joined; a one-entry
+    column is the q multiples themselves.  Each distinct u, and each
+    suffix it needs, is built once.  ``shift(col, a)`` adds a to every
+    entry.  While q <= 256 a column is ``bytes`` and a shift is one
+    ``bytes.translate`` through the field's ``byte_tables``; above, it is
+    a list shifted by the field's ``add``."""
     q = f.q
-    if not width:  # zip of no columns would yield nothing
-        yield from repeat((), q**len(rows))
-        return
     tables = f.byte_tables
-    if len(rows) == 1 and tables is not None:
-        yield from map(tuple, map(bytes(rows[0]).translate, tables[1]))
-        return
     if tables is None:
         add, mul = f.add, f.mul
         zero = [0]
@@ -374,22 +361,46 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
         def shift(col, a):
             return col.translate(adds[a])
 
+    return _Columns(zero, multiples, spread).__getitem__, shift
+
+
+# The most tail vectors span_tuples holds at once, unless one row's q
+# multiples are more: the tail keeps at least one row.  Under the default
+# guard q > 4096 forces n = 1, so such a span has at most one row.
+SPAN_BLOCK = 4096
+
+
+def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
+                width: int) -> Iterator[Row]:
+    """All q**len(rows) vectors sum(c_i * rows[i]), lazily, ordered by the
+    coefficient tuples (c_0, c_1, ...) in lexicographic order over the
+    canonical field order (first coefficient slowest).
+
+    The span of the last rows, the tail block, is built once as the
+    ``dot_columns`` of its ``width`` columns u (in a reduced basis most
+    share their u): at least one row, and more while it stays within
+    SPAN_BLOCK vectors.  They are shifted by each vector of the head rows'
+    span, which this function enumerates, and the vectors are read off
+    them with ``zip``.  Each level of the recursion, one row shorter at
+    least, holds a tail of at most max(SPAN_BLOCK, q) vectors.
+
+    One row over q <= 256 builds no columns: its multiple by c = 0, 1, ...
+    is the row's ``bytes`` translated by c's multiplication table.
+    """
+    q = f.q
+    if not width:  # zip of no columns would yield nothing
+        yield from repeat((), q**len(rows))
+        return
+    tables = f.byte_tables
+    if len(rows) == 1 and tables is not None:
+        yield from map(tuple, map(bytes(rows[0]).translate, tables[1]))
+        return
     split, size = max(len(rows) - 1, 0), q
     while split and size * q <= SPAN_BLOCK:
         split, size = split - 1, size * q
-    built = {(): zero}
-
-    def column(u):
-        if u not in built:
-            m = multiples(u[0])  # spread(zero, m) is m itself
-            built[u] = spread(column(u[1:]), m) if len(u) > 1 else m
-        return built[u]
-
-    tail = list(zip(*rows[split:])) or [()] * width
-    for u in set(tail):
-        column(u)
-    cols = list(map(built.__getitem__, tail))
-    del built, column  # the shorter columns are not needed while yielding
+    column, shift = dot_columns(f)
+    cols = list(map(column, zip(*rows[split:]) if rows else [()] * width))
+    del column  # the shorter columns are not needed while yielding
     if not split:
         yield from zip(*cols)
         return
@@ -421,14 +432,17 @@ def subspaces_from_json(docs: list, ambient: FieldDescriptor | None = None
                         ) -> tuple[Subspace, ...]:
     """Parse a list of subspace documents.  A caller that has parsed the
     ambient field already passes it as ``ambient``: a subspace whose field
-    document equals the ambient one then reuses it instead of parsing its
-    own, and the ambient document is built once for the whole list."""
+    document equals the ambient one, with plain ints where it has ints,
+    then reuses it instead of parsing its own, and the ambient document is
+    built once for the whole list."""
     ambient_doc = None if ambient is None else field_to_json(ambient)
     out = []
     for doc in docs:
         field_doc, n, basis = json_fields(doc, "subspace", "field", "n",
                                           "basis")
-        if ambient is not None and field_doc == ambient_doc:
+        if ambient is not None and field_doc == ambient_doc and {
+                type(field_doc["p"]), type(field_doc["m"]),
+                *map(type, field_doc["modulus"])} == {int}:
             f = ambient
         else:
             f = field_from_json(field_doc)

@@ -15,18 +15,21 @@ of per-column tables held as packed lanes of one int (see
 ``_point_masks``).
 
 Shared with the construction code: the ``Subspace`` type and the field
-descriptor, whose ``add`` and ``mul`` the search calls and whose
-``byte_tables`` (one ``bytes.translate`` table per element for addition
-and for multiplication, q <= 256) the span enumerator
-``linalg.span_tuples`` reads to list every vector here: a one-row
-member's vectors are its row translated by each ``muls`` table, so the
-verifier reads the multiplication tables through it.  The constructions
-do not call ``span_tuples``; they read their subfields off the field's
-log/antilog tables.  The counting bound is computed here, not taken from
-the constructions' closed form; only the check that a cover's provenance
-is its plan (``covers.follows_plan``) reads ``cover_plan``, and only the
-check that a partition's part dimensions are its kind's
-(``partitions.follows_kind``) reads the constructions' part counts.
+descriptor, whose ``byte_tables`` (``add`` and ``mul`` written out as one
+``bytes.translate`` table per element, q <= 256) both enumerators read
+through the column builder ``linalg.dot_columns``.  The span enumerator
+``linalg.span_tuples`` lists every vector here from its columns; a
+one-row member's vectors are its row translated by each ``muls`` table.
+The search builds its point-index tables from the same columns: while
+q <= 256 it makes no call of field arithmetic past building the tables,
+none per candidate; above, a column is a list built and shifted by the
+field's ``mul`` and ``add``.  The constructions call neither; they read
+their subfields off the field's log/antilog tables.  The counting bound
+is computed here, not taken from the constructions' closed form; only
+the check that a cover's provenance is its plan (``covers.follows_plan``)
+reads ``cover_plan``, and only the check that a partition's part
+dimensions are its kind's (``partitions.follows_kind``) reads the
+constructions' part counts.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from sys import byteorder
 from .bounds import MAX_MASK_BITS, MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, follows_plan
 from .gf import FieldDescriptor
-from .linalg import Row, Subspace, span_tuples
+from .linalg import Row, Subspace, dot_columns, span_tuples
 from .partitions import Partition, follows_kind
 
 
@@ -205,8 +208,8 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
     once each, already scaled, by the projective points c of F^d.  A
     point's coordinate col is then <c, u_col>, u_col the basis column, and
     by ``_index_weights`` its index is linear in its coordinates.  The
-    values <c, u> over all c are built once per distinct column u, as the
-    fixed-width lanes of one int, and scaled by the column's weight once
+    values <c, u> over all c are read off ``linalg.dot_columns`` once per
+    distinct column u, as the fixed-width lanes of one int, and scaled by the column's weight once
     per column index, so a candidate's point indices cost one sum of
     packed ints, one per column.  The packing is plain integer arithmetic:
     a lane holding a negative shift borrows from the next until the pivot
@@ -216,29 +219,20 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
     and ``covering`` lists in one pass each.
     """
     q = f.q
-    add, mul = f.add, f.mul
     npoints = (q**n - 1) // (q - 1)
     code = next(c for c in "BHIQ"
                 if 8 * array(c).itemsize >= (npoints - 1).bit_length())
     lane_bytes = array(code).itemsize
     weight, shift = _index_weights(q, n)
-    sums: dict[Row, list[int]] = {(): [0]}
+    column, shift_column = dot_columns(f)
     tables: dict[Row, int] = {}
-
-    def dots(w: Row) -> list[int]:
-        # <s, w> for every s in F^len(w), in product order
-        if w not in sums:
-            rest = dots(w[1:])
-            sums[w] = [add(m, x) for m in [mul(a, w[0]) for a in range(q)]
-                       for x in rest]
-        return sums[w]
 
     def table(u: Row) -> int:
         # the projective c of F^len(u) in order: leading index i, then the
         # suffix s in product order, so <c, u> = u_i + <s, u after i>
         if u not in tables:
-            lanes = array(code, [add(u[i], x) for i in range(len(u))
-                                 for x in dots(u[i + 1:])])
+            lanes = array(code, chain.from_iterable(
+                shift_column(column(u[i + 1:]), u[i]) for i in range(len(u))))
             tables[u] = int.from_bytes(lanes.tobytes(), byteorder)
         return tables[u]
 

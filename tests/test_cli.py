@@ -210,14 +210,15 @@ BROKEN_ONE_ROW_FAMILIES = [
      "9aae56b5259754b9acb9e36d070f8e5c73e90c6af6dce61480f3ad6d2670a7a0"),
     ("cover --p 2 --m 2 --n 3 --k 2",
      "1fc58f80a21b841e3dea67b028bb89f3c293d75139f451f09239a05953254078"),
+    # GF(2^8), the largest field with byte tables
+    ("partition --p 2 --m 8 --n 2 --d 1 --kind spread",
+     "7c1a0503e5380e0ab69fc9b318854f96aa7c03b4e282d65d93f1e38ea32bd122"),
 ]
 
 
-@pytest.mark.parametrize("seed,command,digest", [
-    (seed, *case) for seed, case in enumerate(BROKEN_ONE_ROW_FAMILIES, 1)
-], ids=[c for c, _ in BROKEN_ONE_ROW_FAMILIES])
-def test_broken_one_row_family_report_is_pinned(capsys, tmp_path, seed,
-                                                command, digest):
+def broken_family_report(capsys, tmp_path, seed, command):
+    """The verify report of the seeded broken copy of ``command``'s
+    family: the document, its member key, the report and stdout."""
     _, out, _ = run(capsys, *command.split())
     doc = json.loads(out)
     key = "parts" if "parts" in doc else "subspaces"
@@ -230,11 +231,29 @@ def test_broken_one_row_family_report_is_pinned(capsys, tmp_path, seed,
     flag = "--partition" if key == "parts" else "--cover"
     code, out, _ = run(capsys, "verify", flag, str(path))
     assert code == 2
+    return doc, key, json.loads(out), out
+
+
+@pytest.mark.parametrize("seed,command,digest", [
+    (seed, *case) for seed, case in enumerate(BROKEN_ONE_ROW_FAMILIES, 1)
+], ids=[c for c, _ in BROKEN_ONE_ROW_FAMILIES])
+def test_broken_one_row_family_report_is_pinned(capsys, tmp_path, seed,
+                                                command, digest):
+    doc, key, report, out = broken_family_report(capsys, tmp_path, seed,
+                                                 command)
     q = doc["ambient"]["field"]["p"] ** doc["ambient"]["field"]["m"]
-    report = json.loads(out)
     assert len(report["uncovered"]) == q - 1
     assert len(report["double_covered"]) == (q - 1 if key == "parts" else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_broken_two_row_family_report_is_pinned(capsys, tmp_path):
+    # a d = 2 spread over GF(16): its members' spans read the adds tables
+    doc, _, report, out = broken_family_report(
+        capsys, tmp_path, 1, "partition --p 2 --m 4 --n 4 --d 2 --kind spread")
+    assert len(report["uncovered"]) == len(report["double_covered"]) == 255
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9b047d26fca3b5e0a3327a6280b693e57d69c9f97c0bbb8db172b1ad2f4bb523")
 
 
 class TestVerifyCommand:
@@ -397,6 +416,45 @@ class TestVerifyCommand:
         code, out2, err = run(capsys, "verify", "--cover", str(path))
         assert code == 1 and out2 == ""
         assert err.startswith("error: ") and "extension degree" in err
+
+    # every number a document carries is a plain int, also where a float
+    # or a bool equals the expected value (3.0 == 3, True == 1)
+    def test_float_count_rejected(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "2", "--k", "1")
+        doc = json.loads(out)
+        doc["count"] = 3.0
+        path = tmp_path / "float_count.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--cover", str(path))
+        assert code == 1 and out2 == ""
+        assert err == "error: count must be an integer, got 3.0\n"
+
+    @pytest.mark.parametrize("entry", [1.0, True])
+    def test_modulus_entries_must_be_ints(self, capsys, tmp_path, entry):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--m", "2", "--n", "2",
+                        "--k", "1")
+        doc = json.loads(out)
+        for field in [doc["ambient"]["field"]] + [
+                s["field"] for s in doc["subspaces"]]:
+            assert field["modulus"] == [1, 1, 1]
+            field["modulus"] = [entry] * 3
+        path = tmp_path / "modulus.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--cover", str(path))
+        assert code == 1 and out2 == ""
+        assert err.startswith("error: modulus ") and "Traceback" not in err
+
+    def test_part_field_equal_but_not_int_rejected(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "partition", "--p", "2", "--n", "4",
+                        "--d", "2", "--kind", "spread")
+        doc = json.loads(out)
+        for part in doc["parts"]:
+            part["field"].update(p=2.0, m=True)
+        path = tmp_path / "part_field.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--partition", str(path))
+        assert code == 1 and out2 == ""
+        assert err == "error: p must be prime, got 2.0\n"
 
     def test_bool_basis_entries_rejected(self, capsys, tmp_path):
         _, out, _ = run(capsys, "cover", "--p", "2", "--n", "3", "--k", "1")

@@ -193,6 +193,8 @@ class TestVerify:
 MASK_SPACES = [
     (F2, 4), (F3, 3), (field_new(2, 2), 3), (field_new(5, 1), 3),
     (F2, 5), (field_new(7, 1), 3), (field_new(2, 3), 3), (field_new(3, 2), 3),
+    # q > 256: the columns are lists, shifted by the field's add
+    (field_new(257, 1), 2),
 ]
 
 
