@@ -190,14 +190,24 @@ class FieldDescriptor:
         g_r = sum(map(operator.mul, _poly_pow(step, r, modulus, p), weights))
         log_h = r * pow(powers_of_h.index(g_r), -1, k)
         exp, log = array(code, [0]) * (2 * n), array(code, [0]) * q
-        g_s = (1,)
+        # The next coset start g^(s+1) = g g^s is read off the coset just
+        # filled: with a_j the digits of g it is the sum of a_j x^j g^s, digit
+        # by digit mod p, and x^j g^s = exp[s + j log_h].  (For m = 1 there
+        # is one coset.)
+        terms = [(j * log_h, a) for j, a in enumerate(self.digits(g)) if a]
+        g_s = 1
         for s in range(r):
             i = s  # the log of g^s h^j for j = 0, 1, ...
-            for e in orbit(sum(map(operator.mul, g_s, weights))):
+            for e in orbit(g_s):
                 exp[i] = exp[i + n] = e
                 log[e] = i
                 i = (i + log_h) % n
-            g_s = _poly_rem(_poly_mul(g_s, step, p), modulus, p)
+            g_s = 0
+            for w in weights:
+                d = 0
+                for j, a in terms:
+                    d += a * (exp[(s + j) % n] // w % p)
+                g_s += d % p * w
         zech = array(code, () if p == 2 else
                      (log[e - e % p + (e + 1) % p]
                       for e in itertools.islice(exp, n)))

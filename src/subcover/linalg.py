@@ -16,6 +16,7 @@ routine, ``_eliminate``, without checking it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -370,42 +371,114 @@ def dot_columns(f: FieldDescriptor) -> tuple[Callable, Callable]:
 SPAN_BLOCK = 4096
 
 
+@cache
+def _vector_sums(p: int, m: int
+                 ) -> tuple[Callable, bytes | None, bytes | None] | None:
+    """``(add, into, out)`` for ``span_tuples``' whole-vector blocks over
+    GF(p^m), or None where a byte cannot hold an entry of the sum of two
+    vectors: p^m > 256, or odd p with (2p - 1)^m > 256.
+
+    A block is ``bytes`` of row-major entries.  ``add(block, v)`` adds the
+    vector v, repeated to the block's length, in one big-int operation:
+    XOR of encodings in characteristic 2.  For odd p an entry is held as
+    its m base-p digits read in base 2p - 1, so two entries add bytewise
+    with no carry, and one ``translate`` takes every digit mod p.  ``into``
+    and ``out`` are the ``translate`` tables from encodings to that form
+    and back, None where the form is the encoding (p = 2 or m = 1)."""
+    base = 2 * p - 1  # a digit of a sum is below base
+    if p**m > 256 or p > 2 and base**m > 256:
+        return None
+    if p == 2:
+        def add(block, v):
+            size = len(block)
+            return (int.from_bytes(block, "little") ^ int.from_bytes(
+                v * (size // len(v)), "little")).to_bytes(size, "little")
+        return add, None, None
+    mod = bytes(sum(x // base**j % base % p * base**j for j in range(m))
+                for x in range(base**m)).ljust(256, b"\0")
+
+    def add(block, v):
+        size = len(block)
+        total = int.from_bytes(block, "little") + int.from_bytes(
+            v * (size // len(v)), "little")
+        return total.to_bytes(size, "little").translate(mod)
+
+    if m == 1:
+        return add, None, None
+    into = bytes(sum(e // p**j % p * base**j for j in range(m))
+                 for e in range(p**m)).ljust(256, b"\0")
+    out = bytearray(256)
+    for e in range(p**m):
+        out[into[e]] = e
+    return add, into, bytes(out)
+
+
 def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
                 width: int) -> Iterator[Row]:
     """All q**len(rows) vectors sum(c_i * rows[i]), lazily, ordered by the
     coefficient tuples (c_0, c_1, ...) in lexicographic order over the
     canonical field order (first coefficient slowest).
 
-    The span of the last rows, the tail block, is built once as the
-    ``dot_columns`` of its ``width`` columns u (in a reduced basis most
-    share their u): at least one row, and more while it stays within
-    SPAN_BLOCK vectors.  They are shifted by each vector of the head rows'
-    span, which this function enumerates, and the vectors are read off
-    them with ``zip``.  Each level of the recursion, one row shorter at
-    least, holds a tail of at most max(SPAN_BLOCK, q) vectors.
+    The span of the last rows, the tail block, is built once: at least one
+    row, and more while it stays within SPAN_BLOCK vectors.  It is shifted
+    by each vector of the head rows' span, which this function enumerates.
+    Each level of the recursion, one row shorter at least, holds a tail of
+    at most max(SPAN_BLOCK, q) vectors.
 
-    One row over q <= 256 builds no columns: its multiple by c = 0, 1, ...
-    is the row's ``bytes`` translated by c's multiplication table.
+    Where ``_vector_sums`` serves f, the tail block is whole vectors,
+    ``bytes`` of row-major entries: the last row's multiples are its
+    ``bytes`` translated by each of the field's ``muls`` tables (then by
+    ``into``), each earlier row adds its nonzero multiples to copies of the
+    block in one big-int operation, and so does each head vector to the
+    whole block.  The tuples are read off with ``zip(*[iter(block)] *
+    width)``.  Other fields hold the block as the ``dot_columns`` of its
+    ``width`` columns u (in a reduced basis most share their u), shifted
+    column by column and read off with ``zip``.  One row over q <= 256 is
+    its ``muls`` translates.
     """
     q = f.q
+    tables = f.byte_tables
+    if len(rows) == 1 and tables:
+        yield from map(tuple, map(bytes(rows[0]).translate, tables[1]))
+        return
     if not width:  # zip of no columns would yield nothing
         yield from repeat((), q**len(rows))
         return
-    tables = f.byte_tables
-    if len(rows) == 1 and tables is not None:
-        yield from map(tuple, map(bytes(rows[0]).translate, tables[1]))
+    if not rows:
+        yield (0,) * width
         return
-    split, size = max(len(rows) - 1, 0), q
+    split, size = len(rows) - 1, q
     while split and size * q <= SPAN_BLOCK:
         split, size = split - 1, size * q
-    column, shift = dot_columns(f)
-    cols = list(map(column, zip(*rows[split:]) if rows else [()] * width))
-    del column  # the shorter columns are not needed while yielding
+    sums = _vector_sums(f.p, f.m)
+    if sums:
+        add, into, out = sums
+        muls = [t.translate(into) for t in tables[1]] if into else tables[1]
+        block = b"".join(map(bytes(rows[-1]).translate, muls))
+        for row in reversed(rows[split:-1]):
+            # the block, then the block plus each nonzero multiple of row
+            shifts = b"".join(map(bytes.__mul__, map(
+                bytes(row).translate, muls[1:]), repeat(len(block) // width)))
+            block += add(block * (q - 1), shifts)
+
+        def tail(head):
+            # translate(None) leaves the bytes as they are
+            shifted = block if head is None else add(
+                block, bytes(head).translate(into))
+            return zip(*[iter(shifted.translate(out) if out else shifted)]
+                       * width)
+    else:
+        column, shift = dot_columns(f)
+        cols = list(map(column, zip(*rows[split:])))
+        del column  # the shorter columns are not needed while yielding
+
+        def tail(head):
+            return zip(*(cols if head is None else map(shift, cols, head)))
     if not split:
-        yield from zip(*cols)
+        yield from tail(None)
         return
     for head in span_tuples(f, rows[:split], width):
-        yield from zip(*map(shift, cols, head))
+        yield from tail(head)
 
 
 def invert_matrix(f: FieldDescriptor, rows: Sequence[Row]) -> tuple[Row, ...]:

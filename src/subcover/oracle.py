@@ -15,15 +15,20 @@ of per-column tables held as packed lanes of one int (see
 ``_point_masks``).
 
 Shared with the construction code: the ``Subspace`` type and the field
-descriptor, whose ``byte_tables`` (``add`` and ``mul`` written out as one
-``bytes.translate`` table per element, q <= 256) both enumerators read
-through the column builder ``linalg.dot_columns``.  The span enumerator
-``linalg.span_tuples`` lists every vector here from its columns; a
-one-row member's vectors are its row translated by each ``muls`` table.
-The search builds its point-index tables from the same columns: while
-q <= 256 it makes no call of field arithmetic past building the tables,
-none per candidate; above, a column is a list built and shifted by the
-field's ``mul`` and ``add``.  The constructions call neither; they read
+descriptor.  Every vector verified here comes out of the span enumerator
+``linalg.span_tuples`` as a tuple.  While q <= 256 and a byte holds the
+sum of two entries, it builds a span as whole vectors: rows' ``bytes``
+translated by the field's ``muls`` tables (``mul`` written out, see
+``byte_tables``), added as big ints (XOR in characteristic 2, for odd p
+a bytewise add and a mod-p ``translate``; see ``linalg._vector_sums``).
+Other spans are read off the columns of ``linalg.dot_columns``, built and
+shifted by the field's ``mul`` and ``add`` (``byte_tables`` while
+q <= 256).  The verifier packs the tuples into ``bytes`` and computes
+their indices as lanes of one int, with no field arithmetic.  The search
+builds its point-index tables from the same columns: while q <= 256 it
+makes no call of field arithmetic past building the tables, none per
+candidate; above, a column is a list built and shifted by the field's
+``mul`` and ``add``.  The constructions call neither; they read
 their subfields off the field's log/antilog tables.  The counting bound
 is computed here, not taken from the constructions' closed form; only
 the check that a cover's provenance is its plan (``covers.follows_plan``)
@@ -37,9 +42,11 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations, islice, product, repeat
-from operator import attrgetter, getitem, mul
+from operator import attrgetter, getitem
 from sys import byteorder
+from typing import Iterator
 
 from .bounds import MAX_MASK_BITS, MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, follows_plan
@@ -134,20 +141,69 @@ def _index_vector(idx: int, q: int, n: int) -> Row:
     return tuple(out)
 
 
-def _hit_counts(f: FieldDescriptor, n: int, members, what: str) -> bytearray:
-    """Hits per vector index over every nonzero vector of every member
-    subspace, saturating at 2.  The members' spans are read as one stream;
-    each starts with the zero vector, which is skipped, so hits[0] is 0."""
+def _typecode(top: int) -> str:
+    """The smallest ``array`` typecode whose items hold 0..top."""
+    return next(c for c in "BHIQ" if 8 * array(c).itemsize >= top.bit_length())
+
+
+# The most vectors ``_hit_counts`` packs and indexes at once.
+INDEX_CHUNK = 1024
+
+
+def _index_chunks(f: FieldDescriptor, n: int, members,
+                  size: int) -> Iterator[array]:
+    """The index sum(v_i * q**i) of every vector of every member, chunk by
+    chunk as an ``array``.  The members' spans are read as one stream, at
+    most INDEX_CHUNK vectors a chunk, and a chunk's entries are packed in
+    order, w bytes each (w = 1 while q <= 256), so coordinate i is every
+    n-th entry.  The coordinates are weighted and added as fixed-width
+    lanes of one int: ``per`` of them at a time in w-byte lanes, each lane
+    then below 256**w, and those sums, widened to lanes that hold
+    size - 1, added again.  No lane ever carries into the next."""
+    q = f.q
+    entry, lane = _typecode(q - 1), _typecode(size - 1)
+    width, lane_bytes = array(entry).itemsize, array(lane).itemsize
+    per = 1  # coordinates whose weighted sum a w-byte lane holds
+    while q**(per + 1) <= 256**width:
+        per += 1
+    # where a w-byte lane's low byte sits in a wide lane, in native order
+    low = 0 if byteorder == "little" else lane_bytes - width
+    vecs = chain.from_iterable(map(span_tuples, repeat(f), map(
+        attrgetter("basis"), members), repeat(n)))
+    pack = bytearray if width == 1 else partial(array, entry)
+    while packed := pack(chain.from_iterable(islice(vecs, INDEX_CHUNK))):
+        vectors = len(packed) // n
+        lanes = bytearray(vectors * lane_bytes)
+        total = 0
+        for start in range(0, n, per):
+            part = sum(int.from_bytes(packed[i::n], byteorder) * q**(i - start)
+                       for i in range(start, min(n, start + per)))
+            part = part.to_bytes(vectors * width, byteorder)
+            for j in range(width):
+                lanes[low + j::lane_bytes] = part[j::width]
+            total += int.from_bytes(lanes, byteorder) * q**start
+        yield array(lane, total.to_bytes(len(lanes), byteorder))
+
+
+def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
+                exact: bool) -> bytearray:
+    """Hits per vector index over every vector of every member subspace:
+    1 for a hit vector, and when ``exact`` 2 for one that two or more
+    members hold (hits[0], the zero vector, is not read).  Each index of
+    ``_index_chunks`` is marked at C speed.  Some nonzero vector lies in
+    two members iff the members' nonzero vectors, the sum of q**dim - 1,
+    outnumber the marked nonzero indices; only then, and only when
+    ``exact``, are the hits counted again, one vector at a time."""
     q = f.q
     hits = bytearray(
         check_enumeration_size(q, n, f"verifying a {what} of GF({q})^{n}"))
-    weights = [q**i for i in range(n)]  # a vector's index is sum(v_i * q**i)
-    spans = map(span_tuples, repeat(f), map(attrgetter("basis"), members),
-                repeat(n))
-    vecs = chain.from_iterable(map(islice, spans, repeat(1), repeat(None)))
-    for i in map(sum, map(map, repeat(mul), vecs, repeat(weights))):
-        if hits[i] < 2:
-            hits[i] += 1
+    deque(map(hits.__setitem__, chain.from_iterable(
+        _index_chunks(f, n, members, len(hits))), repeat(1)), maxlen=0)
+    if exact and sum(q**s.dim - 1 for s in members) > hits.count(1, 1):
+        hits[:] = bytes(len(hits))
+        for i in chain.from_iterable(_index_chunks(f, n, members, len(hits))):
+            if hits[i] < 2:
+                hits[i] += 1
     return hits
 
 
@@ -155,7 +211,7 @@ def _violations(f: FieldDescriptor, n: int, members, what: str,
                 exact: bool) -> tuple[tuple[Row, ...], ...]:
     """The nonzero vectors no member holds and, when ``exact``, those more
     than one member holds (hits saturate at 2), in increasing order."""
-    hits = _hit_counts(f, n, members, what)
+    hits = _hit_counts(f, n, members, what, exact)
 
     def where(count: int):
         i = hits.find(count, 1)
@@ -198,10 +254,15 @@ def _index_weights(q: int, n: int) -> tuple[list[int], list[int]]:
     return weight, shift
 
 
+# The most point-candidate incidences ``_point_masks`` holds in lists.
+COVERING_BATCH = 1 << 20
+
+
 def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
-                 ) -> tuple[list[int], list[list[int]]]:
+                 ) -> tuple[list[int], list[array]]:
     """The bitmask of the projective points in each positive-dimensional
-    candidate, and the candidates through each point in increasing order.
+    candidate, and the candidates through each point in increasing order,
+    one ``array`` per point.
 
     With the basis in RREF, the first nonzero entry of sum(c_j * row_j) is
     the first nonzero c_j, so a d-dimensional candidate's points are listed
@@ -220,8 +281,7 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
     """
     q = f.q
     npoints = (q**n - 1) // (q - 1)
-    code = next(c for c in "BHIQ"
-                if 8 * array(c).itemsize >= (npoints - 1).bit_length())
+    code = _typecode(npoints - 1)
     lane_bytes = array(code).itemsize
     weight, shift = _index_weights(q, n)
     column, shift_column = dot_columns(f)
@@ -258,17 +318,30 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
         start, count = starts[s.pivots]
         accs.append(sum(map(getitem, scaled, zip(*s.basis)), start))
         counts.append(count)
-    # decode every candidate's lanes at once, then split them by candidate
-    lanes = array(code, b"".join(map(
-        int.to_bytes, accs, map(lane_bytes.__mul__, counts), repeat(byteorder))))
+    # Decode every candidate's lanes into one array, then split them by
+    # candidate.  The column tables and the packed ints are each about as
+    # large as the array, so they go first.
+    del scaled, tables
+    lanes = array(code)
+    deque(map(lanes.frombytes, map(int.to_bytes, accs, map(
+        lane_bytes.__mul__, counts), repeat(byteorder))), maxlen=0)
+    del accs
     bit = [0] * npoints
     for j in set(lanes):
         bit[j] = 1 << j
     bits = map(bit.__getitem__, lanes)
     masks = list(map(sum, map(islice, repeat(bits), counts)))
-    covering: list[list[int]] = [[] for _ in range(npoints)]
+    # Each point's candidates are kept in an array, a few bytes each where
+    # a list takes 8, but gathered as lists, which append faster, a batch
+    # of incidences at a time.  The map stops at the end of the batch's
+    # lanes before it takes the next owner.
+    covering = [array(_typecode(len(cands) - 1)) for _ in range(npoints)]
     owners = chain.from_iterable(map(repeat, range(len(cands)), counts))
-    deque(map(list.append, map(covering.__getitem__, lanes), owners), maxlen=0)
+    for start in range(0, len(lanes), COVERING_BATCH):
+        batch: list[list[int]] = [[] for _ in range(npoints)]
+        deque(map(list.append, map(batch.__getitem__, lanes[
+            start:start + COVERING_BATCH]), owners), maxlen=0)
+        deque(map(array.fromlist, covering, batch), maxlen=0)
     return masks, covering
 
 

@@ -1,6 +1,7 @@
 """Field arithmetic: construction, canonical moduli, axioms, Frobenius."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -335,6 +336,45 @@ class TestTables:
                 assert self.ref_mul(f, a, inv) == 1
                 assert f.pow(a, -e) == self.ref_pow(f, inv, e)
                 assert f.div(b, a) == self.ref_mul(f, b, inv)
+
+    @pytest.mark.parametrize("p,m", [(257, 2), (2, 16), (3, 10), (5, 6)])
+    def test_tables_match_a_naive_build(self, p, m):
+        f = field_new(p, m)
+        q, n = f.q, f.q - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        # a constant of GF(p^m), m > 1, has order dividing p - 1 < q - 1
+        g = next(a for a in range(p, q)
+                 if all(self.ref_pow(f, a, n // r) != 1 for r in primes))
+        # e -> e g is GF(p)-linear: digit d of e at place j adds d times the
+        # digits of x^j g, tabulated here for the low and the high half of
+        # e's digits, so exp walks the powers of g one lookup pair a step
+        rows = [f.digits(self.ref_mul(f, p**j, g)) for j in range(m)]
+
+        def images(places):
+            return [tuple(sum(d * row[k]
+                              for d, row in zip(f.digits(v), places))
+                          for k in range(m)) for v in range(p**len(places))]
+
+        half = p**(m // 2)
+        low, high = images(rows[:m // 2]), images(rows[m // 2:])
+        weights = [p**k for k in range(m)]
+        exp, e = [], 1
+        for _ in range(n):
+            exp.append(e)
+            hi, lo = divmod(e, half)
+            e = sum(map(operator.mul, map(p.__rmod__, map(
+                operator.add, low[lo], high[hi])), weights))
+        assert e == 1 and 1 not in exp[1:]
+        log = [0] * q
+        for i, e in enumerate(exp):
+            log[e] = i
+        # 1 + e changes only the constant digit of e
+        zech = [] if p == 2 else [log[e - e % p + (e + 1) % p] for e in exp]
+        got_exp, got_log, got_zech, log_minus_one = f._tables
+        assert list(got_exp) == exp * 2
+        assert list(got_log) == log
+        assert list(got_zech) == zech
+        assert log_minus_one == log[p - 1]
 
     # GF(2^8) is the largest field with byte tables
     @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (251, 1),

@@ -356,11 +356,16 @@ class TestSpanTuples:
     # levels of that recursion.  GF(2^8), GF(2^9) and GF(257) have more
     # than 8 multiples of a row, so there the tail keeps its one row.
     # Above 256 elements the columns are lists, not bytes; GF(257)^3's
-    # planes shift them by the vectors of a one-row head.
+    # planes shift them by the vectors of a one-row head.  The blocks of
+    # whole vectors add two entries in a byte: in GF(131) and GF(251) the
+    # sum of two entries would carry into the next byte, GF(27) and GF(49)
+    # add base-p digits held in one byte, and GF(125) and GF(243) have
+    # more digits than one byte holds, so those four take the columns.
     @pytest.mark.parametrize("block", [linalg.SPAN_BLOCK, 8])
     @pytest.mark.parametrize("p,m,n", [
         (2, 1, 14), (2, 2, 6), (3, 1, 9), (3, 2, 5), (5, 1, 5), (2, 8, 2),
-        (2, 9, 2), (257, 1, 2), (257, 1, 3),
+        (2, 9, 2), (257, 1, 2), (257, 1, 3), (131, 1, 3), (251, 1, 3),
+        (3, 3, 4), (7, 2, 3), (5, 3, 3), (3, 5, 3),
     ])
     def test_matches_linear_combinations_in_order(self, p, m, n, block,
                                                   monkeypatch):
@@ -396,6 +401,30 @@ class TestSpanTuples:
         for row in rows:
             want = [linear_combination(f, (c,), [row]) for c in range(f.q)]
             assert list(span_tuples(f, [row], len(row))) == want
+
+    @pytest.mark.parametrize("p,m,n,block,depths", [
+        (2, 1, 10, 4, [10, 8, 6, 4, 2]), (3, 1, 6, 9, [6, 4, 2]),
+        (3, 2, 3, 9, [3, 2, 1]),
+    ])
+    def test_head_recursion_several_levels_deep(self, p, m, n, block, depths,
+                                                monkeypatch):
+        # each level keeps a tail block of as many rows as fit the block and
+        # enumerates the rows before them by calling span_tuples again
+        monkeypatch.setattr(linalg, "SPAN_BLOCK", block)
+        f = field_new(p, m)
+        rng = random.Random(n * block)
+        rows = [tuple(rng.randrange(f.q) for _ in range(n)) for _ in range(n)]
+        calls, inner = [], linalg.span_tuples
+
+        def counted(f, rows, width):
+            calls.append(len(rows))
+            return inner(f, rows, width)
+
+        monkeypatch.setattr(linalg, "span_tuples", counted)
+        got = list(counted(f, rows, n))
+        assert calls == depths
+        assert got == [linear_combination(f, c, rows)
+                       for c in product(range(f.q), repeat=n)]
 
     def test_list_columns_over_two_tail_rows(self, monkeypatch):
         # a default block holds one tail row above 256 elements, so only a

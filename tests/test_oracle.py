@@ -4,15 +4,24 @@ exact minimality search."""
 import random
 from dataclasses import replace
 from itertools import combinations, product
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subcover import oracle
-from subcover.covers import Cover, cover_finite, minimal_cover_count
+from subcover.covers import (
+    Cover,
+    cover_finite,
+    follows_plan,
+    minimal_cover_count,
+)
 from subcover.gf import field_new
 from subcover.linalg import (
     contains,
     subspace_from_generators,
+    zero_subspace,
 )
 from subcover.oracle import (
     _index_weights,
@@ -24,7 +33,13 @@ from subcover.oracle import (
     verify_cover,
     verify_partition,
 )
-from subcover.partitions import Partition, mixed_partition, spread_partition
+from subcover.partitions import (
+    Partition,
+    follows_kind,
+    mixed_partition,
+    spread_partition,
+)
+from test_linalg import linear_combination
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -190,6 +205,92 @@ class TestVerify:
         assert doc["ok"] is True and doc["checked"] == 3
 
 
+def reference_violations(f, n, members):
+    """The uncovered and the doubly covered nonzero vectors, by a saturating
+    count over every linear combination of each member's basis, listed in
+    index order (the first entry fastest)."""
+    q = f.q
+    weights = [q**j for j in range(n)]
+    hits = [0] * q**n
+    for s in members:
+        for c in product(range(q), repeat=s.dim):
+            if any(c):
+                i = sum(map(mul, linear_combination(f, c, s.basis), weights))
+                hits[i] = min(hits[i] + 1, 2)
+
+    def vectors(count):
+        return tuple(tuple(i // w % q for w in weights)
+                     for i in range(1, q**n) if hits[i] == count)
+
+    return vectors(0), vectors(2)
+
+
+# (p, m, ambient dimensions): GF(257) has list columns and two-byte entries
+FAMILY_SPACES = [(2, 1, [2, 3, 4, 5, 6]), (3, 1, [2, 3, 4]), (2, 2, [2, 3]),
+                 (3, 2, [2, 3]), (257, 1, [2])]
+
+
+@st.composite
+def edited_families(draw):
+    """A cover or partition with one member dropped, duplicated or replaced
+    by another subspace of the same dimension, or left as built."""
+    p, m, dims = draw(st.sampled_from(FAMILY_SPACES))
+    f, n = field_new(p, m), draw(st.sampled_from(dims))
+    kind = draw(st.sampled_from(["cover", "spread", "mixed"]))
+    if kind == "cover":
+        family = cover_finite(f, n, draw(st.integers(1, n - 1)))
+        members = family.subspaces
+    else:
+        d = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]
+                                 if kind == "spread" else
+                                 list(range(1, n // 2 + 1))))
+        build = spread_partition if kind == "spread" else mixed_partition
+        family = build(f, n, d)
+        members = family.parts
+    edit = draw(st.sampled_from(["none", "drop", "duplicate", "replace"]))
+    i = draw(st.integers(0, len(members) - 1))
+    if edit == "drop":
+        members = members[:i] + members[i + 1:]
+    elif edit == "duplicate":
+        members += (members[i],)
+    elif edit == "replace":
+        rng = draw(st.randoms(use_true_random=False))
+        other = members[i]
+        while other in (members[i], zero_subspace(f, n)) or \
+                other.dim != members[i].dim:
+            other = subspace_from_generators(f, n, [
+                [rng.randrange(f.q) for _ in range(n)]
+                for _ in range(members[i].dim)])
+        members = members[:i] + (other,) + members[i + 1:]
+    key = "subspaces" if kind == "cover" else "parts"
+    return replace(family, **{key: members}), edit
+
+
+@settings(max_examples=30, deadline=None)
+@given(edited_families())
+def test_verifiers_agree_with_a_saturating_count(case):
+    family, edit = case
+    f, n = family.field, family.n
+    if isinstance(family, Cover):
+        report = verify_cover(family)
+        uncovered, _ = reference_violations(f, n, family.subspaces)
+        doubled = ()
+        ok = not uncovered and follows_plan(family)
+    else:
+        report = verify_partition(family)
+        uncovered, doubled = reference_violations(f, n, family.parts)
+        ok = not uncovered and not doubled and follows_kind(family)
+        if edit == "replace":
+            # the members' nonzero vectors still number q^n - 1, so only
+            # the marks show the doubly covered vectors
+            assert sum(f.q**s.dim - 1 for s in family.parts) == f.q**n - 1
+            assert uncovered and doubled
+    assert report.uncovered == uncovered
+    assert report.double_covered == doubled
+    assert report.ok == ok
+    assert report.checked == f.q**n - 1
+
+
 MASK_SPACES = [
     (F2, 4), (F3, 3), (field_new(2, 2), 3), (field_new(5, 1), 3),
     (F2, 5), (field_new(7, 1), 3), (field_new(2, 3), 3), (field_new(3, 2), 3),
@@ -209,8 +310,9 @@ def test_point_mask_matches_membership(f, n, d):
     for s, mask in zip(subs, masks):
         want = sum(1 << i for i, pt in enumerate(pts) if contains(s, pt))
         assert mask == want
-    assert covering == [[i for i, m in enumerate(masks) if m >> j & 1]
-                        for j in range(len(pts))]
+    assert list(map(list, covering)) == [
+        [i for i, m in enumerate(masks) if m >> j & 1]
+        for j in range(len(pts))]
     # GL(n, q) is transitive on points, so each lies in equally many
     # candidates; the search's branching rule relies on it
     assert {len(c) for c in covering} == {gaussian_binomial(n - 1, d - 1, f.q)}
