@@ -12,8 +12,8 @@ descriptor builds log/antilog tables to the base of its least primitive
 element g (smallest encoding), so mul, div, inv, pow and neg are lookups.
 Addition is XOR of encodings in characteristic 2 and uses Zech logarithms
 for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n).
-While q <= 256, ``byte_tables`` writes ``add`` and ``mul`` out as one
-``bytes.translate`` table per element, for whole columns at a time.
+While q <= 256, ``byte_tables`` writes ``mul`` out as one
+``bytes.translate`` table per element, for whole rows at a time.
 
 The modulus of GF(p^m) is always the lexicographically smallest monic
 irreducible polynomial of degree m over GF(p) (coefficient-tuple order,
@@ -214,20 +214,18 @@ class FieldDescriptor:
         return exp, log, zech, log[p - 1]
 
     @cached_property
-    def byte_tables(self) -> tuple[list[bytes], list[bytes]] | None:
-        """``(adds, muls)`` for ``bytes.translate`` while q <= 256, else None.
+    def byte_tables(self) -> list[bytes] | None:
+        """``muls`` for ``bytes.translate`` while q <= 256, else None.
 
-        ``adds[a]`` maps x to a + x and ``muls[c]`` maps x to c x: ``add``
-        and ``mul`` written out, one call per entry, as 256-byte tables
-        whose entries past q are 0.
+        ``muls[c]`` maps x to c x: ``mul`` written out, one call per entry,
+        as 256-byte tables whose entries past q are 0.
         """
         q = self.q
         if q > 256:
             return None
         pad = bytes(256 - q)
-        adds, muls = ([bytes(map(op, itertools.repeat(a), range(q))) + pad
-                       for a in range(q)] for op in (self.add, self.mul))
-        return adds, muls
+        return [bytes(map(self.mul, itertools.repeat(c), range(q))) + pad
+                for c in range(q)]
 
     # -- arithmetic on integer encodings ------------------------------------
 

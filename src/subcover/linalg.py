@@ -312,62 +312,10 @@ def lift(q: LinearQuotient, s_bar: Subspace) -> Subspace:
     return subspace_from_generators(q.field, q.ambient_dim, gens)
 
 
-class _Columns(dict):
-    """``dot_columns``' memo, a dict, not a recursive closure: a hit is a
-    lookup at C speed, and no reference cycle keeps the memo alive."""
-
-    def __init__(self, zero, multiples, spread):
-        super().__init__({(): zero})
-        self.multiples, self.spread = multiples, spread
-
-    def __missing__(self, u: Row):
-        m = self.multiples(u[0])  # spread(self[()], m) is m itself
-        self[u] = col = self.spread(self[u[1:]], m) if len(u) > 1 else m
-        return col
-
-
-def dot_columns(f: FieldDescriptor) -> tuple[Callable, Callable]:
-    """``(column, shift)`` over f.  ``column(u)`` is <c, u> for every c in
-    F^len(u), in product order (first coordinate slowest): the column of
-    u[1:] shifted by each of the q multiples of u[0], joined; a one-entry
-    column is the q multiples themselves.  Each distinct u, and each
-    suffix it needs, is built once.  ``shift(col, a)`` adds a to every
-    entry.  While q <= 256 a column is ``bytes`` and a shift is one
-    ``bytes.translate`` through the field's ``byte_tables``; above, it is
-    a list shifted by the field's ``add``."""
-    q = f.q
-    tables = f.byte_tables
-    if tables is None:
-        add, mul = f.add, f.mul
-        zero = [0]
-
-        def multiples(x):
-            return [mul(c, x) for c in range(q)]
-
-        def spread(col, shifts):
-            return [add(a, y) for a in shifts for y in col]
-
-        def shift(col, a):
-            return [add(a, y) for y in col]
-    else:
-        adds, muls = tables
-        zero = b"\0"
-
-        def multiples(x):
-            return muls[x][:q]
-
-        def spread(col, shifts):
-            return b"".join(map(col.translate, map(adds.__getitem__, shifts)))
-
-        def shift(col, a):
-            return col.translate(adds[a])
-
-    return _Columns(zero, multiples, spread).__getitem__, shift
-
-
 # The most tail vectors span_tuples holds at once, unless one row's q
-# multiples are more: the tail keeps at least one row.  Under the default
-# guard q > 4096 forces n = 1, so such a span has at most one row.
+# multiples are more: the tail keeps at least one row.  A field with no
+# byte sum (see ``_vector_sums``) has q >= 81, so there a default tail
+# holds one row.
 SPAN_BLOCK = 4096
 
 
@@ -425,21 +373,22 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
     Each level of the recursion, one row shorter at least, holds a tail of
     at most max(SPAN_BLOCK, q) vectors.
 
-    Where ``_vector_sums`` serves f, the tail block is whole vectors,
-    ``bytes`` of row-major entries: the last row's multiples are its
-    ``bytes`` translated by each of the field's ``muls`` tables (then by
-    ``into``), each earlier row adds its nonzero multiples to copies of the
-    block in one big-int operation, and so does each head vector to the
-    whole block.  The tuples are read off with ``zip(*[iter(block)] *
-    width)``.  Other fields hold the block as the ``dot_columns`` of its
-    ``width`` columns u (in a reduced basis most share their u), shifted
-    column by column and read off with ``zip``.  One row over q <= 256 is
-    its ``muls`` translates.
+    One row over q <= 256 is its ``bytes`` translated by each of the
+    field's ``muls`` tables.  Where ``_vector_sums`` serves f, the tail
+    block is whole vectors, ``bytes`` of row-major entries: the last row's
+    multiples are its ``muls`` translates (then translated by ``into``),
+    each earlier row adds its nonzero multiples to copies of the block in
+    one big-int operation, and so does each head vector to the whole
+    block.  The tuples are read off with ``zip(*[iter(block)] * width)``.
+    Other fields have q >= 81 and no byte sum; they hold the block as its
+    ``width`` columns, lists of <c, u> built with the field's ``mul`` and
+    ``add``, shift each by the head vector's entry with ``add``, one call
+    per entry, and read the tuples off with ``zip``.
     """
     q = f.q
-    tables = f.byte_tables
-    if len(rows) == 1 and tables:
-        yield from map(tuple, map(bytes(rows[0]).translate, tables[1]))
+    muls = f.byte_tables
+    if len(rows) == 1 and muls:
+        yield from map(tuple, map(bytes(rows[0]).translate, muls))
         return
     if not width:  # zip of no columns would yield nothing
         yield from repeat((), q**len(rows))
@@ -453,7 +402,7 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
     sums = _vector_sums(f.p, f.m)
     if sums:
         add, into, out = sums
-        muls = [t.translate(into) for t in tables[1]] if into else tables[1]
+        muls = [t.translate(into) for t in muls] if into else muls
         block = b"".join(map(bytes(rows[-1]).translate, muls))
         for row in reversed(rows[split:-1]):
             # the block, then the block plus each nonzero multiple of row
@@ -468,12 +417,21 @@ def span_tuples(f: FieldDescriptor, rows: Sequence[Row],
             return zip(*[iter(shifted.translate(out) if out else shifted)]
                        * width)
     else:
-        column, shift = dot_columns(f)
-        cols = list(map(column, zip(*rows[split:])))
-        del column  # the shorter columns are not needed while yielding
+        add, mul = f.add, f.mul
+        cols = []
+        for u in zip(*rows[split:]):
+            # <c, u> for every c, first coordinate slowest: the multiples
+            # of u's last entry, spread by those of each earlier entry
+            col = list(map(mul, range(q), repeat(u[-1])))
+            for x in reversed(u[:-1]):
+                col = [add(y, z) for y in map(mul, range(q), repeat(x))
+                       for z in col]
+            cols.append(col)
 
         def tail(head):
-            return zip(*(cols if head is None else map(shift, cols, head)))
+            return zip(*(cols if head is None else (
+                map(add, repeat(a), col) if a else col
+                for a, col in zip(head, cols))))
     if not split:
         yield from tail(None)
         return

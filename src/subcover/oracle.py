@@ -16,19 +16,17 @@ of per-column tables held as packed lanes of one int (see
 
 Shared with the construction code: the ``Subspace`` type and the field
 descriptor.  Every vector verified here comes out of the span enumerator
-``linalg.span_tuples`` as a tuple.  While q <= 256 and a byte holds the
-sum of two entries, it builds a span as whole vectors: rows' ``bytes``
-translated by the field's ``muls`` tables (``mul`` written out, see
-``byte_tables``), added as big ints (XOR in characteristic 2, for odd p
-a bytewise add and a mod-p ``translate``; see ``linalg._vector_sums``).
-Other spans are read off the columns of ``linalg.dot_columns``, built and
-shifted by the field's ``mul`` and ``add`` (``byte_tables`` while
-q <= 256).  The verifier packs the tuples into ``bytes`` and computes
-their indices as lanes of one int, with no field arithmetic.  The search
-builds its point-index tables from the same columns: while q <= 256 it
-makes no call of field arithmetic past building the tables, none per
-candidate; above, a column is a list built and shifted by the field's
-``mul`` and ``add``.  The constructions call neither; they read
+``linalg.span_tuples`` as a tuple.  While q <= 256 it translates a row's
+``bytes`` by the field's ``muls`` tables (``mul`` written out, see
+``byte_tables``), and where a byte holds the sum of two entries it adds
+such rows as whole vectors in big ints (XOR in characteristic 2, for odd
+p a bytewise add and a mod-p ``translate``; see ``linalg._vector_sums``).
+Other fields, all with q >= 81, enumerate spans with the field's ``add``
+and ``mul``, one call per entry.  The verifier packs the tuples into
+``bytes`` and computes their indices as lanes of one int, with no field
+arithmetic.  The search builds its point-index tables from the same
+enumerator, one span per distinct basis column, and makes no call of
+field arithmetic per candidate.  The constructions call neither; they read
 their subfields off the field's log/antilog tables.  The counting bound
 is computed here, not taken from the constructions' closed form; only
 the check that a cover's provenance is its plan (``covers.follows_plan``)
@@ -51,7 +49,7 @@ from typing import Iterator
 from .bounds import MAX_MASK_BITS, MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, follows_plan
 from .gf import FieldDescriptor
-from .linalg import Row, Subspace, dot_columns, span_tuples
+from .linalg import Row, Subspace, span_tuples
 from .partitions import Partition, follows_kind
 
 
@@ -195,8 +193,12 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
     outnumber the marked nonzero indices; only then, and only when
     ``exact``, are the hits counted again, one vector at a time."""
     q = f.q
-    hits = bytearray(
-        check_enumeration_size(q, n, f"verifying a {what} of GF({q})^{n}"))
+    task = f"verifying a {what} of GF({q})^{n}"
+    size = check_enumeration_size(q, n, task)
+    try:
+        hits = bytearray(size)
+    except (MemoryError, OverflowError) as exc:  # a raised size guard
+        raise ValueError(f"{task} cannot allocate {size} bytes") from exc
     deque(map(hits.__setitem__, chain.from_iterable(
         _index_chunks(f, n, members, len(hits))), repeat(1)), maxlen=0)
     if exact and sum(q**s.dim - 1 for s in members) > hits.count(1, 1):
@@ -269,30 +271,32 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
     once each, already scaled, by the projective points c of F^d.  A
     point's coordinate col is then <c, u_col>, u_col the basis column, and
     by ``_index_weights`` its index is linear in its coordinates.  The
-    values <c, u> over all c are read off ``linalg.dot_columns`` once per
-    distinct column u, as the fixed-width lanes of one int, and scaled by the column's weight once
-    per column index, so a candidate's point indices cost one sum of
-    packed ints, one per column.  The packing is plain integer arithmetic:
-    a lane holding a negative shift borrows from the next until the pivot
-    columns are added, and the lane width is chosen from the point count,
-    so every finished lane holds its point index in [0, npoints) exactly.
-    The lanes of all candidates are decoded together and split into masks
-    and ``covering`` lists in one pass each.
+    values <c, u> over the projective c are taken from one
+    ``linalg.span_tuples`` call per distinct column u, the span of u's
+    entries as one-entry rows, held as the fixed-width lanes of one int,
+    and scaled by the column's weight once per column index, so a
+    candidate's point indices cost one sum of packed ints, one per column.
+    The packing is plain integer arithmetic: a lane holding a negative
+    shift borrows from the next until the pivot columns are added, and the
+    lane width is chosen from the point count, so every finished lane
+    holds its point index in [0, npoints) exactly.  The lanes of all
+    candidates are decoded together and split into masks and ``covering``
+    lists in one pass each.
     """
     q = f.q
     npoints = (q**n - 1) // (q - 1)
     code = _typecode(npoints - 1)
     lane_bytes = array(code).itemsize
     weight, shift = _index_weights(q, n)
-    column, shift_column = dot_columns(f)
     tables: dict[Row, int] = {}
 
     def table(u: Row) -> int:
-        # the projective c of F^len(u) in order: leading index i, then the
-        # suffix s in product order, so <c, u> = u_i + <s, u after i>
+        # <c, u> for every c of F^d in product order, d = len(u); the
+        # projective c with leading index i sit at [q^j, 2 q^j), j = d-1-i
         if u not in tables:
+            dots = list(chain.from_iterable(span_tuples(f, list(zip(u)), 1)))
             lanes = array(code, chain.from_iterable(
-                shift_column(column(u[i + 1:]), u[i]) for i in range(len(u))))
+                dots[q**j:2 * q**j] for j in reversed(range(len(u)))))
             tables[u] = int.from_bytes(lanes.tobytes(), byteorder)
         return tables[u]
 

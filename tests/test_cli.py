@@ -248,7 +248,7 @@ def test_broken_one_row_family_report_is_pinned(capsys, tmp_path, seed,
 
 
 def test_broken_two_row_family_report_is_pinned(capsys, tmp_path):
-    # a d = 2 spread over GF(16): its members' spans read the adds tables
+    # a d = 2 spread over GF(16): its members' spans are whole-vector blocks
     doc, _, report, out = broken_family_report(
         capsys, tmp_path, 1, "partition --p 2 --m 4 --n 4 --d 2 --kind spread")
     assert len(report["uncovered"]) == len(report["double_covered"]) == 255
@@ -640,6 +640,17 @@ class TestSizeGuards:
     def test_huge_cover(self, capsys):
         self.assert_rejected(run(capsys, "cover", "--p", "2", "--n",
                                  str(self.HUGE), "--k", "1"))
+
+    @pytest.mark.parametrize("guard,n", [(2**62, 61), (2**70, 65)])
+    def test_raised_guard_past_what_memory_holds(self, capsys, monkeypatch,
+                                                 guard, n):
+        # 2^61 bytes of hit counts fail to allocate at once, and 2^65 is
+        # more than sys.maxsize
+        monkeypatch.setenv("SUBCOVER_MAX_Q_POW", str(guard))
+        code, out, err = run(capsys, "cover", "--p", "2", "--n", str(n),
+                             "--k", "1", "--verify")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "cannot allocate" in err
 
 
 F2 = gf.field_new(2, 1)

@@ -355,12 +355,13 @@ class TestSpanTuples:
     # block of 8 makes most spans enumerate their head through several
     # levels of that recursion.  GF(2^8), GF(2^9) and GF(257) have more
     # than 8 multiples of a row, so there the tail keeps its one row.
-    # Above 256 elements the columns are lists, not bytes; GF(257)^3's
-    # planes shift them by the vectors of a one-row head.  The blocks of
-    # whole vectors add two entries in a byte: in GF(131) and GF(251) the
-    # sum of two entries would carry into the next byte, GF(27) and GF(49)
-    # add base-p digits held in one byte, and GF(125) and GF(243) have
-    # more digits than one byte holds, so those four take the columns.
+    # The blocks of whole vectors add two entries in a byte, and GF(27)
+    # and GF(49) add base-p digits held in one byte.  The other fields
+    # have no byte sum and take the list columns, built with mul and
+    # shifted with add: above 256 elements (GF(257)^3's planes shift them
+    # by the vectors of a one-row head), in GF(131) and GF(251), where the
+    # sum of two entries would carry into the next byte, and in GF(125)
+    # and GF(243), which have more digits than one byte holds.
     @pytest.mark.parametrize("block", [linalg.SPAN_BLOCK, 8])
     @pytest.mark.parametrize("p,m,n", [
         (2, 1, 14), (2, 2, 6), (3, 1, 9), (3, 2, 5), (5, 1, 5), (2, 8, 2),
@@ -435,6 +436,18 @@ class TestSpanTuples:
         want = [linear_combination(f, c, rows)
                 for c in product(range(f.q), repeat=2)]
         assert list(span_tuples(f, rows, 3)) == want
+
+    def test_list_columns_over_three_tail_rows(self, monkeypatch):
+        # each earlier entry spreads the column in turn, which only three
+        # or more tail rows tell apart; vectors are sampled by position
+        monkeypatch.setattr(linalg, "SPAN_BLOCK", 81**3)
+        f = field_new(3, 4)
+        rows = [(1, 2), (5, 0), (7, 80)]
+        got = list(span_tuples(f, rows, 2))
+        assert len(got) == 81**3
+        for i in random.Random(81).sample(range(81**3), 500) + [0, 81**3 - 1]:
+            c = (i // 81**2, i // 81 % 81, i % 81)
+            assert got[i] == linear_combination(f, c, rows)
 
     def test_zero_width(self):
         assert list(span_tuples(F3, [], 0)) == [()]

@@ -294,8 +294,9 @@ def test_verifiers_agree_with_a_saturating_count(case):
 MASK_SPACES = [
     (F2, 4), (F3, 3), (field_new(2, 2), 3), (field_new(5, 1), 3),
     (F2, 5), (field_new(7, 1), 3), (field_new(2, 3), 3), (field_new(3, 2), 3),
-    # q > 256: the columns are lists, shifted by the field's add
-    (field_new(257, 1), 2),
+    # fields with no byte sum: above q = 256 a line's table is a span of
+    # list columns; GF(131) and GF(3^4) read theirs off the byte tables
+    (field_new(257, 1), 2), (field_new(131, 1), 2), (field_new(3, 4), 2),
 ]
 
 
@@ -344,6 +345,27 @@ def test_point_masks_with_lanes_wider_than_16_bits():
         assert len(on) == 2**s.dim - 1
         assert all(contains(s, pts[j]) and i in covering[j] for j in on)
     assert max(masks).bit_length() > 2**16
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (131, 1)])
+def test_point_masks_of_planes_with_no_byte_sum(p, m, monkeypatch):
+    # a plane's tables are spans of two one-entry rows, which these fields
+    # build as list columns; their full candidate sets exceed MAX_MASK_BITS
+    # and GF(131)^3 the default size guard
+    monkeypatch.setenv("SUBCOVER_MAX_Q_POW", str(2**22))
+    f, n = field_new(p, m), 3
+    rng = random.Random(f.q)
+    subs = [subspace_from_generators(f, n, [
+        tuple(rng.randrange(f.q) for _ in range(n)) for _ in range(2)])
+        for _ in range(3)]
+    subs.append(subspace_from_generators(f, n, [(0, 1, 0), (0, 0, 1)]))
+    pts = projective_points(f, n)
+    masks, covering = _point_masks(f, n, subs)
+    for i, (s, mask) in enumerate(zip(subs, masks)):
+        assert s.dim == 2
+        want = [j for j, pt in enumerate(pts) if contains(s, pt)]
+        assert mask == sum(1 << j for j in want)
+        assert all(i in covering[j] for j in want)
 
 
 class TestMinCoverSize:
