@@ -2,13 +2,26 @@
 
 Exit codes: 0 success, 1 validation error (bad arguments, malformed input),
 2 verification failure.
+
+Every JSON document goes to stdout through ``_dump`` as the text of
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))``.  ``_dump``
+writes a dict's top-level keys itself, in sorted order.  A value that is a
+family of subspace documents as ``linalg.subspaces_to_json`` builds them
+(``basis``, ``field`` and ``n`` only, one shared field-document object, one
+``n``, non-empty bases of list rows) is written by ``_family``: one
+``json.dumps`` of all the bases, split at the part boundary ``]],[[``, and
+one ``str.join`` around the ``,"field":...,"n":...`` text, encoded once, so
+the encoder does not encode the field document once per part.  Every other
+value goes through ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -24,8 +37,46 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _encode(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _family(docs) -> str | None:
+    """The JSON text of a family of subspace documents, or None when
+    ``docs`` is anything else (an empty list included)."""
+    if (type(docs) is not list or not docs
+            or set(map(type, docs)) != {dict} or set(map(len, docs)) != {3}):
+        return None
+    try:
+        bases, fields, ns = (list(map(operator.itemgetter(key), docs))
+                             for key in ("basis", "field", "n"))
+    except KeyError:
+        return None
+    if (not all(map(operator.is_, fields, itertools.repeat(fields[0])))
+            or set(map(type, ns)) != {int} or len(set(ns)) != 1
+            or set(map(type, bases)) != {list} or not all(bases)
+            or set(map(type, itertools.chain.from_iterable(bases))) != {list}):
+        return None
+    # Each basis is written "[[...]]", so the text of all of them is
+    # "[[[" + the parts' rows joined at "]],[[" + "]]]".  A part whose text
+    # holds "]],[[" itself (a nested list or a string) gives one piece too
+    # many, and is left to json.dumps.
+    pieces = _encode(bases)[3:-3].split("]],[[")
+    if len(pieces) != len(docs):
+        return None
+    head = '{"basis":[['
+    tail = f']],"field":{_encode(fields[0])},"n":{_encode(ns[0])}}}'
+    return "".join(("[", head, (tail + "," + head).join(pieces), tail, "]"))
+
+
 def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, with the
+    families among a dict's values written by ``_family``."""
+    if type(doc) is not dict or set(map(type, doc)) - {str}:
+        return _encode(doc)
+    return "{" + ",".join(
+        f"{_encode(key)}:{_family(doc[key]) or _encode(doc[key])}"
+        for key in sorted(doc)) + "}"
 
 
 def _int_text(n: int) -> str:

@@ -11,7 +11,8 @@ Every (p, m) takes one table-driven path.  On its first arithmetic call a
 descriptor builds log/antilog tables to the base of its least primitive
 element g (smallest encoding), so mul, div, inv, pow and neg are lookups.
 Addition is XOR of encodings in characteristic 2 and uses Zech logarithms
-for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n).
+for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n), a table built
+on the first ``add`` of two nonzero elements.
 While q <= 256, ``byte_tables`` writes ``mul`` out as one
 ``bytes.translate`` table per element, for whole rows at a time.
 
@@ -129,14 +130,13 @@ class FieldDescriptor:
     # -- log/antilog tables -------------------------------------------------
 
     @cached_property
-    def _tables(self) -> tuple[array, array, array, int]:
-        """``(exp, log, zech, log(-1))``, built on the first arithmetic call.
+    def _tables(self) -> tuple[array, array, int]:
+        """``(exp, log, log(-1))``, built on the first arithmetic call.
 
         With g the least primitive element: ``exp[i] = enc(g^i)`` over two
-        periods, ``log[enc(g^i)] = i`` (and ``log[0] = 0``), and for odd p
-        ``zech[n] = log(1 + g^n)``, 0 exactly where 1 + g^n = 0 (empty in
-        characteristic 2).  Entries take 2 bytes while q <= 2^16, 4 above.
-        -1 has encoding p - 1, so log(-1) is (q-1)/2 for odd p and 0 for p = 2.
+        periods and ``log[enc(g^i)] = i`` (and ``log[0] = 0``).  Entries take
+        2 bytes while q <= 2^16, 4 above.  -1 has encoding p - 1, so log(-1)
+        is (q-1)/2 for odd p and 0 for p = 2.
         """
         p, q, m, modulus = self.p, self.q, self.m, self.modulus
         n = q - 1
@@ -208,10 +208,19 @@ class FieldDescriptor:
                 for j, a in terms:
                     d += a * (exp[(s + j) % n] // w % p)
                 g_s += d % p * w
-        zech = array(code, () if p == 2 else
+        return exp, log, log[p - 1]
+
+    @cached_property
+    def _zech(self) -> array:
+        """``zech[n] = log(1 + g^n)`` for odd p, 0 exactly where 1 + g^n = 0
+        (empty in characteristic 2, which adds by XOR), built on the first
+        ``add`` that reads it."""
+        exp, log, _ = self._tables
+        p = self.p
+        # 1 + e changes only the constant digit of e
+        return array(log.typecode, () if p == 2 else
                      (log[e - e % p + (e + 1) % p]
-                      for e in itertools.islice(exp, n)))
-        return exp, log, zech, log[p - 1]
+                      for e in itertools.islice(exp, self.q - 1)))
 
     @cached_property
     def byte_tables(self) -> list[bytes] | None:
@@ -234,22 +243,22 @@ class FieldDescriptor:
             return a ^ b
         if not (a and b):
             return a or b
-        exp, log, zech, _ = self._tables
+        exp, log, _ = self._tables
         la = log[a]
         # g^la + g^lb = g^(la + zech[lb - la]); zech has q - 1 entries, so
         # a negative difference wraps modulo q - 1.
-        z = zech[log[b] - la]
+        z = self._zech[log[b] - la]
         return z and exp[la + z]
 
     def neg(self, a: int) -> int:
-        exp, log, _, log_minus_one = self._tables
+        exp, log, log_minus_one = self._tables
         return a and exp[log[a] + log_minus_one]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        exp, log, _, _ = self._tables
+        exp, log, _ = self._tables
         return a and b and exp[log[a] + log[b]]
 
     def pow(self, a: int, e: int) -> int:
@@ -257,13 +266,13 @@ class FieldDescriptor:
             if e < 0:
                 raise ZeroDivisionError("0 has no inverse")
             return 1 if e == 0 else 0
-        exp, log, _, _ = self._tables
+        exp, log, _ = self._tables
         return exp[log[a] * e % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by zero in " + repr(self))
-        exp, log, _, _ = self._tables
+        exp, log, _ = self._tables
         return exp[self.q - 1 - log[a]]
 
     def div(self, a: int, b: int) -> int:

@@ -9,10 +9,11 @@ and branches on the lowest uncovered point: GL(n, q) is transitive on
 points, so every point lies in equally many candidates and the lowest one
 is as constrained as any.  Its candidates are built per pivot tuple, as
 the product of each RREF row's possible rows.  Their point masks are not
-enumerated vector by vector: a point's position in ``projective_points``
-is linear in its coordinates, so each candidate's point indices are a sum
-of per-column tables held as packed lanes of one int (see
-``_point_masks``).
+enumerated vector by vector.  The points are the lines of F^n, each
+represented with its first nonzero coordinate 1 and ordered by leading
+index, then suffix.  A point's position in that order is linear in its
+coordinates, so each candidate's point indices are a sum of per-column
+tables held as packed lanes of one int (see ``_point_masks``).
 
 Shared with the construction code: the ``Subspace`` type and the field
 descriptor.  Every vector verified here comes out of the span enumerator
@@ -61,21 +62,6 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     for i in range(1, d + 1):
         r = r * (q ** (n - d + i) - 1) // (q**i - 1)
     return r
-
-
-def projective_points(f: FieldDescriptor, n: int) -> tuple[Row, ...]:
-    """Canonical representatives of the lines of F^n: first nonzero
-    coordinate scaled to 1, ordered by leading index then suffix."""
-    q = f.q
-    size = check_enumeration_size(q, n, f"projective points of GF({q})^{n}")
-    expected = (size - 1) // (q - 1)
-    pts = []
-    for lead in range(n):
-        for suffix in product(range(q), repeat=n - lead - 1):
-            pts.append((0,) * lead + (1,) + suffix)
-    if len(pts) != expected:
-        raise AssertionError("projective point count mismatch")
-    return tuple(pts)
 
 
 def enumerate_subspaces(f: FieldDescriptor, n: int, d: int) -> list[Subspace]:
@@ -247,10 +233,10 @@ def verify_partition(p: Partition) -> VerificationReport:
 
 def _index_weights(q: int, n: int) -> tuple[list[int], list[int]]:
     """``(weight, shift)`` such that a normalised vector v of F^n with
-    leading index L sits at ``shift[L] + sum(weight[c] * v[c])`` in
-    ``projective_points``: the points with an earlier leading index come
-    first, then v's suffix reads as a base-q numeral (v[L] = 1 adds
-    weight[L], which ``shift[L]`` takes back)."""
+    leading index L sits at ``shift[L] + sum(weight[c] * v[c])`` in the
+    point order (see the module docstring): the points with an earlier
+    leading index come first, then v's suffix reads as a base-q numeral
+    (v[L] = 1 adds weight[L], which ``shift[L]`` takes back)."""
     weight = [q ** (n - 1 - c) for c in range(n)]
     shift = [sum(weight[:lead]) - weight[lead] for lead in range(n)]
     return weight, shift

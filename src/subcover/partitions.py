@@ -58,12 +58,13 @@ class Partition:
 class FieldExtension:
     """GF(q^t) modelled as a t-dimensional vector space over GF(q).
 
-    Exposes the big field ``top`` = GF(p^(m*t)), the embedding of the base
-    field into it, and the exact conversion of a top-field encoding to its
-    power-basis coordinate tuple (length t over the base).  The
-    coordinates of w are the base-q digits of one integer flat(w): w itself
-    over a prime base or at degree 1, else the GF(p)-linear image of w that
-    takes x^i times the embedded base element p^j to p^(i*m + j).
+    Exposes the big field ``top`` = GF(p^(m*t)) and the exact conversion of
+    a top-field encoding to its power-basis coordinate tuple (length t over
+    the base).  The coordinates of w are the base-q digits of one integer
+    flat(w): w itself over a prime base or at degree 1, else the
+    GF(p)-linear image of w that takes x^i times the embedded base element
+    p^j to p^(i*m + j), with the embedding of the base field tabulated in
+    ``_embed`` (None where there is no such image to take).
     """
 
     def __init__(self, base: FieldDescriptor, degree: int):
@@ -101,10 +102,6 @@ class FieldExtension:
                      for row in conv_inv]
             self._low = _span_table(top, units[:low_digits])
             self._high = _span_table(top, units[low_digits:])
-
-    def embed(self, c: int) -> int:
-        """Image in the top field of a base-field encoding."""
-        return c if self._embed is None else self._embed[c]
 
     def to_coords(self, w: int) -> tuple[int, ...]:
         """Power-basis coordinates (base-field encodings) of a top element:

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcover import cli, gf, linalg
+from subcover import cli, gf, linalg, oracle
 from subcover.covers import cover_finite, cover_from_json, cover_to_json
 from subcover.linalg import span_tuples
 from subcover.partitions import (
@@ -254,6 +255,181 @@ def test_broken_two_row_family_report_is_pinned(capsys, tmp_path):
     assert len(report["uncovered"]) == len(report["double_covered"]) == 255
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9b047d26fca3b5e0a3327a6280b693e57d69c9f97c0bbb8db172b1ad2f4bb523")
+
+
+def compact(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def dumped(capsys, monkeypatch, *argv):
+    """Run a command; the documents it passed to ``cli._dump``, each with
+    the text written for it, and stdout."""
+    calls, dump = [], cli._dump
+
+    def recorded(doc):
+        calls.append((doc, dump(doc)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "_dump", recorded)
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 2)
+    return calls, out
+
+
+class TestDump:
+    """``cli._dump`` writes ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))``, families of subspace documents included."""
+
+    # every construction path (spread, mixed, peel plus tail), multi-row
+    # parts, --verify reports, and GF(2), GF(3), GF(4), GF(9), GF(2^8),
+    # GF(257)
+    @pytest.mark.parametrize("command", [
+        "partition --p 2 --n 6 --d 2 --kind spread --verify",
+        "partition --p 3 --n 4 --d 1 --kind spread",
+        "partition --p 2 --m 2 --n 3 --d 1 --kind spread --verify",
+        "partition --p 3 --m 2 --n 2 --d 1 --kind spread",
+        "partition --p 2 --m 8 --n 2 --d 1 --kind spread",
+        "partition --p 257 --n 2 --d 1 --kind spread",
+        "partition --p 2 --m 2 --n 3 --d 3 --kind spread",
+        "partition --p 2 --n 7 --d 3 --kind mixed --verify",
+        "partition --p 3 --m 2 --n 3 --d 1 --kind mixed",
+        "cover --p 2 --n 9 --k 5 --verify",
+        "cover --p 3 --n 5 --k 2",
+        "cover --p 2 --m 2 --n 4 --k 3 --verify",
+        "cover --p 3 --n 3 --k 2",
+    ])
+    def test_construction_documents(self, capsys, monkeypatch, command):
+        calls, out = dumped(capsys, monkeypatch, *command.split())
+        [(doc, text)] = calls
+        assert out == text + "\n" and text == compact(doc)
+        family = doc["parts" if "parts" in doc else "subspaces"]
+        assert cli._family(family) is not None
+        assert ("verification" in doc) == command.endswith("--verify")
+
+    def test_entries_of_four_digits(self):
+        # a family over GF(1021) of one to three rows
+        f, rng = gf.field_new(1021, 1), random.Random(7)
+        family = [linalg.subspace_from_generators(
+            f, 4, [[rng.randrange(1021) for _ in range(4)]
+                   for _ in range(1 + i % 3)]) for i in range(12)]
+        doc = {"count": len(family),
+               "subspaces": linalg.subspaces_to_json(family, f)}
+        assert {len(s["basis"]) for s in doc["subspaces"]} == {1, 2, 3}
+        assert max(e for s in family for r in s.basis for e in r) > 999
+        assert cli._family(doc["subspaces"]) is not None
+        assert cli._dump(doc) == compact(doc)
+
+    @pytest.mark.parametrize("seed,command", [
+        (1, "partition --p 2 --n 10 --d 1 --kind spread"),
+        (3, "partition --p 2 --m 2 --n 4 --d 1 --kind spread"),
+        (5, "cover --p 2 --n 8 --k 7"),
+    ])
+    def test_broken_family_reports(self, capsys, monkeypatch, tmp_path, seed,
+                                   command):
+        _, _, report, out = broken_family_report(capsys, tmp_path, seed,
+                                                 command)
+        assert report["uncovered"]
+        assert out == compact(report) + "\n"
+        # the family as json.load gives it: equal field documents, each its
+        # own object, so not the family path
+        doc = json.loads(run(capsys, *command.split())[1])
+        key = "parts" if "parts" in doc else "subspaces"
+        assert cli._family(doc[key]) is None
+        doc["verification"] = report
+        assert cli._dump(doc) == compact(doc)
+
+    def test_verified_broken_family(self):
+        # a cover --verify document with a member dropped and a partition
+        # document with a member doubled: non-empty violation lists next to
+        # a family
+        cover = cover_finite(gf.field_new(3, 1), 3, 1)
+        broken = replace(cover, subspaces=cover.subspaces[1:])
+        doc = cover_to_json(broken)
+        doc["verification"] = oracle.verify_cover(broken).to_json()
+        assert doc["verification"]["uncovered"]
+        part = spread_partition(gf.field_new(2, 2), 3, 1)
+        doubled = replace(part, parts=part.parts[1:] + part.parts[2:3])
+        pdoc = partition_to_json(doubled)
+        pdoc["verification"] = oracle.verify_partition(doubled).to_json()
+        assert pdoc["verification"]["double_covered"]
+        for d in doc, pdoc:
+            assert cli._family(d.get("parts", d.get("subspaces"))) is not None
+            assert cli._dump(d) == compact(d)
+
+    def test_empty_and_zero_dimensional_members(self):
+        part = spread_partition(gf.field_new(2, 1), 4, 2)
+        empty = partition_to_json(replace(part, parts=()))
+        empty["verification"] = oracle.verify_partition(
+            replace(part, parts=())).to_json()
+        zero = linalg.zero_subspace(part.field, 4)
+        with_zero = partition_to_json(replace(part, parts=part.parts + (zero,)))
+        only_zero = partition_to_json(replace(part, parts=(zero,)))
+        for doc in empty, with_zero, only_zero:
+            assert cli._family(doc["parts"]) is None
+            assert cli._dump(doc) == compact(doc)
+        assert '"parts":[]' in cli._dump(empty)
+
+    @pytest.mark.parametrize("argv", [
+        "nu --p 2 --infinite-dim --k 2",
+        "nu --infinite-field --infinite-dim --k 1",
+        "nu --infinite-field --n 3 --k 1",
+        "limit --n 41 --k 29",
+        "assign --k 2 --vector 0,5,7,1,2",
+    ])
+    def test_symbolic_documents(self, capsys, monkeypatch, argv):
+        calls, out = dumped(capsys, monkeypatch, *argv.split())
+        [(doc, text)] = calls
+        assert text == compact(doc)
+        assert out == compact(json.loads(out)) + "\n"
+
+    def test_lists_that_are_not_families(self):
+        fd = gf.field_to_json(gf.field_new(2, 1))
+
+        def part(basis, n=2, field=fd, **extra):
+            return {"basis": basis, "field": field, "n": n, **extra}
+
+        cases = [
+            [part([[1, 0]]), part([[0, 1]], n=3)],
+            [part([[1, 0]]), part([[0, 1]], n=True)],
+            [part([[1, 0]], n=2.0)],
+            [part([[1, 0]]), part([[0, 1]], field=dict(fd))],
+            [part([[1, 0]]), part([[0, 1]], kind="x")],
+            [part([[1, 0]]), {"basis": [[0, 1]], "field": fd, "m": 2}],
+            [part([[1, 0]]), [[0, 1]]],
+            [part([[1, 0]]), part([(0, 1)])],
+            [part([[1, 0]]), part((([0, 1]),))],
+            [part([[1, 0]]), part([1, 0])],
+            [part([[1, 0]]), part([[["]],[[", 1]], [[0, 1]]])],
+            [part([["]],[[", "]],[["]]), part([[0, 1]])],
+            [part([[1, {"b": [[1]], "a": [[2]]}]]), part([[0, 1]])],
+        ]
+        for docs in cases:
+            doc = {"parts": docs, "n": 2}
+            assert cli._dump(doc) == compact(doc)
+        assert cli._family(cases[-1]) is not None  # sort_keys reaches rows
+        for docs in cases[:-1]:
+            assert cli._family(docs) is None, docs
+
+    def test_values_that_are_not_dicts_with_str_keys(self):
+        for doc in [[1, 2], "text", 3, None, {}, {2: "a", 1: "b"}, {"b": {
+                "d": 1, "c": [2]}, "a": 1}]:
+            assert cli._dump(doc) == compact(doc)
+
+
+FAMILY_ENTRIES = st.one_of(
+    st.integers(0, 2000), st.sampled_from(["]],[[", "]", "[", ","]),
+    st.lists(st.integers(0, 3), max_size=2), st.booleans(), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+    st.lists(st.lists(FAMILY_ENTRIES, max_size=3), max_size=3),
+    st.sampled_from([3, 3, 3, 4, True])), max_size=5))
+def test_dump_of_any_family_is_json_dumps(members):
+    fd = gf.field_to_json(gf.field_new(3, 1))
+    doc = {"parts": [{"basis": b, "field": fd, "n": n} for b, n in members],
+           "d": 1}
+    assert cli._dump(doc) == compact(doc)
 
 
 class TestVerifyCommand:

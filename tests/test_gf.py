@@ -370,7 +370,8 @@ class TestTables:
             log[e] = i
         # 1 + e changes only the constant digit of e
         zech = [] if p == 2 else [log[e - e % p + (e + 1) % p] for e in exp]
-        got_exp, got_log, got_zech, log_minus_one = f._tables
+        got_exp, got_log, log_minus_one = f._tables
+        got_zech = f._zech
         assert list(got_exp) == exp * 2
         assert list(got_log) == log
         assert list(got_zech) == zech

@@ -29,7 +29,6 @@ from subcover.oracle import (
     enumerate_subspaces,
     gaussian_binomial,
     min_cover_size,
-    projective_points,
     verify_cover,
     verify_partition,
 )
@@ -43,6 +42,14 @@ from test_linalg import linear_combination
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
+
+
+def projective_points(f, n):
+    """Canonical representatives of the lines of F^n: first nonzero
+    coordinate scaled to 1, ordered by leading index then suffix.  This is
+    the point order that ``oracle._index_weights`` encodes."""
+    return tuple((0,) * lead + (1,) + suffix for lead in range(n)
+                 for suffix in product(range(f.q), repeat=n - lead - 1))
 
 
 class TestGaussianBinomial:
