@@ -226,15 +226,22 @@ class FieldDescriptor:
     def byte_tables(self) -> list[bytes] | None:
         """``muls`` for ``bytes.translate`` while q <= 256, else None.
 
-        ``muls[c]`` maps x to c x: ``mul`` written out, one call per entry,
-        as 256-byte tables whose entries past q are 0.
+        ``muls[c]`` maps x to c x, as 256-byte tables whose entries past q
+        are 0.  For c = g^k and x = g^i, c x = exp[k + i], so ``muls[c]``
+        is the logs of 1, ..., q - 1 translated by ``exp[k:k + q - 1]``,
+        after an entry 0 for x = 0.
         """
         q = self.q
         if q > 256:
             return None
-        pad = bytes(256 - q)
-        return [bytes(map(self.mul, itertools.repeat(c), range(q))) + pad
-                for c in range(q)]
+        exp, log, _ = self._tables
+        exp = bytes(exp.tolist())
+        logs = log.tolist()
+        units = bytes(logs[1:])
+        pad, short = bytes(256 - q), bytes(257 - q)
+        return [bytes(256)] + [
+            b"\0" + units.translate(exp[k:k + q - 1] + short) + pad
+            for k in logs[1:]]
 
     # -- arithmetic on integer encodings ------------------------------------
 

@@ -11,14 +11,25 @@ JSON readers) check every entry of each input once.  A construction that
 builds a family of subspaces checks all of its generator rows in one call
 of ``_spans``, which then reduces each part through the one elimination
 routine, ``_eliminate``, without checking it again.
+
+Families of lines, the largest the constructions make, take a bulk path
+at both ends: ``_spans`` reduces a family whose parts are one nonzero row
+each in a few ``map`` passes over the whole family, and the JSON reader
+reads a family of one-row bases over the ambient field the same way
+(``_lines_from_json``), with one encoding check over all the rows.  Both
+build the family's ``Subspace`` values in bulk, in ``_lines``.  Every
+other family, and any family that fails a bulk check, takes the per-part
+path: ``_eliminate`` and ``subspace_from_rref`` for each part, with their
+error messages.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import indexOf, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
@@ -27,16 +38,22 @@ from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
 Row = tuple[int, ...]
 
 
+def _valid_encodings(q: int, rows: Sequence[Sequence]) -> bool:
+    """Whether every entry is an integer encoding of GF(q): a plain int in
+    [0, q), so a bool or a float is not.  The types are read off every
+    entry, since a set of the values merges 1, 1.0 and True; then the
+    distinct values are range-checked, all at C speed."""
+    if not set(map(type, chain(*rows))) <= {int}:
+        return False
+    values = set(chain(*rows))
+    return not values or min(values) >= 0 and max(values) < q
+
+
 def _check_encodings(q: int, rows: Sequence[Sequence], what: str) -> None:
-    """Raise ValueError unless every entry is an integer encoding of GF(q):
-    a plain int in [0, q), so a bool or a float is not.  The types are read
-    off every entry, since a set of the values merges 1, 1.0 and True; then
-    the distinct values are range-checked, all at C speed.  Only after a
-    failure is each row checked alone, to name the first bad one."""
-    if set(map(type, chain(*rows))) <= {int}:
-        values = set(chain(*rows))
-        if not values or min(values) >= 0 and max(values) < q:
-            return
+    """Raise ValueError unless ``_valid_encodings``; only after a failure
+    is each row checked alone, to name the first bad one."""
+    if _valid_encodings(q, rows):
+        return
     if len(rows) > 1:
         for row in rows:
             _check_encodings(q, (row,), what)
@@ -142,13 +159,50 @@ def _spans(f: FieldDescriptor, n: int, gens: Sequence[Sequence[Row]]
            ) -> tuple[Subspace, ...]:
     """The span of each list of generator tuples in ``gens``.  All their
     rows are checked first, in one pass: each must have length n and hold
-    integer encodings of f, so a construction checks a family at once."""
+    integer encodings of f, so a construction checks a family at once.
+    A family of one nonzero row each is spanned by ``_lines``, any other
+    part by part with ``_eliminate``."""
     rows = list(chain(*gens))
     if set(map(len, rows)) - {n}:
         bad = next(row for row in rows if len(row) != n)
         raise ValueError(f"generator has length {len(bad)}, ambient is {n}")
     _check_encodings(f.q, rows, "matrix")
+    if set(map(len, gens)) == {1}:
+        leads = _leads(rows)
+        if 0 not in leads:
+            return _lines(f, n, rows, leads)
     return tuple(map(_span, repeat(f), repeat(n), gens))
+
+
+def _leads(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The first nonzero entry of each row, 0 for a zero row."""
+    return list(map(next, map(filter, repeat(None), rows), repeat(0)))
+
+
+def _lines(f: FieldDescriptor, n: int, rows: Sequence[Sequence[int]],
+           leads: Sequence[int]) -> tuple[Subspace, ...]:
+    """The span of each nonzero row of length n, whose entries the caller
+    has checked, given its lead: the row scaled by the lead's inverse, with
+    one ``muls`` translate where q <= 256, and pivot at the lead.  The whole
+    family is built in a few ``map`` passes, its ``Subspace`` values set
+    through the slot descriptors, since the frozen dataclass ``__init__``
+    costs more than twice as much per part."""
+    pivots = zip(map(indexOf, rows, leads))  # read off the unscaled rows
+    if leads.count(1) != len(leads):
+        muls = f.byte_tables
+        if muls:
+            tables = {c: muls[f.inv(c)] for c in set(leads)}
+            rows = map(bytes.translate, map(bytes, rows),
+                       map(tables.__getitem__, leads))
+        else:
+            rows = map(map, repeat(f.mul), map(repeat, map(f.inv, leads)),
+                       rows)
+    out = tuple(map(object.__new__, repeat(Subspace, len(leads))))
+    for slot, values in ((Subspace.field, repeat(f)), (Subspace.n, repeat(n)),
+                         (Subspace.basis, zip(map(tuple, rows))),
+                         (Subspace.pivots, pivots)):
+        deque(map(slot.__set__, out, values), 0)
+    return out
 
 
 def _span(f: FieldDescriptor, n: int, rows: Sequence[Row]) -> Subspace:
@@ -465,7 +519,12 @@ def subspaces_from_json(docs: list, ambient: FieldDescriptor | None = None
     ambient field already passes it as ``ambient``: a subspace whose field
     document equals the ambient one, with plain ints where it has ints,
     then reuses it instead of parsing its own, and the ambient document is
-    built once for the whole list."""
+    built once for the whole list.  A family of lines over the ambient
+    field is read by ``_lines_from_json``, every other list part by part."""
+    if ambient is not None:
+        lines = _lines_from_json(docs, ambient)
+        if lines is not None:
+            return lines
     ambient_doc = None if ambient is None else field_to_json(ambient)
     out = []
     for doc in docs:
@@ -484,3 +543,40 @@ def subspaces_from_json(docs: list, ambient: FieldDescriptor | None = None
                              "list of rows")
         out.append(subspace_from_rref(f, n, basis))
     return tuple(out)
+
+
+def _lines_from_json(docs: list, ambient: FieldDescriptor
+                     ) -> tuple[Subspace, ...] | None:
+    """The subspaces of ``docs`` when every document is a line over the
+    ambient field as ``subspaces_to_json`` writes it, or None.  The checks
+    run as a few passes over the whole list, each reading a type before it
+    indexes a value: every basis is one list row (the cheapest check, so a
+    family with larger parts stops there), every ``n`` is one plain int,
+    every field document is the ambient one with plain ints, every row has
+    length n and holds encodings, and every row leads with 1.  A list that
+    fails any of them returns None, and the per-part reader then reads it,
+    raising its own error where there is one."""
+    if set(map(type, docs)) != {dict}:
+        return None
+    bases = list(map(dict.get, docs, repeat("basis")))
+    if set(map(type, bases)) != {list} or set(map(len, bases)) != {1}:
+        return None
+    rows = list(chain.from_iterable(bases))
+    ns = list(map(dict.get, docs, repeat("n")))
+    n = ns[0]
+    fields = list(map(dict.get, docs, repeat("field")))
+    if (set(map(type, ns)) != {int} or n < 1 or ns.count(n) != len(ns)
+            or fields.count(field_to_json(ambient)) != len(fields)):
+        return None
+    # fields equal to the ambient document have its keys, modulus a list
+    if (set(map(type, chain(
+            map(itemgetter("p"), fields), map(itemgetter("m"), fields),
+            chain.from_iterable(map(itemgetter("modulus"), fields))))) != {int}
+            or set(map(type, rows)) != {list} or set(map(len, rows)) != {n}
+            or not _valid_encodings(ambient.q, rows)):
+        return None
+    del bases, ns, fields  # not held while the family is built
+    leads = _leads(rows)
+    if leads.count(1) != len(leads):
+        return None
+    return _lines(ambient, n, rows, leads)

@@ -7,6 +7,9 @@ Two constructions are provided:
   field K = F_{q^n} under a power basis; the parts are the multiplicative
   cosets a * F_{q^d} of the intermediate field, which K's log tables give
   directly as 0 and the powers of g^((q^n - 1)/(q^d - 1)), g generating K*.
+  Lines over a prime field (d = 1, q = p) need no K: the coset of alpha is
+  its p - 1 nonzero multiples, led by the one whose top base-p digit is 1,
+  so the parts are read off the digit tuples of GF(p)^n (``_prime_lines``).
 
 * ``mixed_partition``: for 1 <= d <= n/2, one (n-d)-dimensional subspace
   together with q^(n-d) subspaces of dimension d.  With K = F_{q^(n-d)} and
@@ -25,6 +28,7 @@ from .bounds import check_enumeration_size
 from .gf import (FieldDescriptor, field_from_json, field_new, field_to_json,
                  json_fields, json_int)
 from .linalg import (
+    Row,
     Subspace,
     invert_matrix,
     _spans,
@@ -160,6 +164,9 @@ def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     # the size guard comes first: partition_shape computes q^n
     check_enumeration_size(f.q, n, f"spread_partition(q={f.q}, n={n}, d={d})")
     shape, literature = partition_shape("spread", f.q, n, d)
+    if d == 1 and f.m == 1:
+        return Partition(f, n, 1, "spread", _spans(f, n, _prime_lines(f.p, n)),
+                         literature_range=literature)
     ext = FieldExtension(f, n)
     top = ext.top
     # With g the top field's generator, GF(q^d)* is the powers of
@@ -179,6 +186,21 @@ def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     if any(part.dim != d for part in parts):
         raise AssertionError("coset has wrong dimension")
     return Partition(f, n, d, "spread", parts, literature_range=literature)
+
+
+def _prime_lines(p: int, n: int) -> list[tuple[Row]]:
+    """One generator of each line of GF(p)^n, in the order of the general
+    sweep.  Over GF(p), top = GF(p^n) and a coset alpha GF(p)* is the set
+    of alpha's nonzero multiples, whose coordinates are alpha's base-p
+    digits (constant first) times 1, ..., p - 1; the least of them is the
+    one whose top nonzero digit is 1.  So the alphas are range(p^k, 2 p^k)
+    for k < n, in increasing order: the digits of each number below p^k,
+    then 1, then zeros.  No table of GF(p^n) is built."""
+    lines = []
+    for k in range(n):
+        top = (1,) + (0,) * (n - 1 - k)
+        lines += [(low[::-1] + top,) for low in product(range(p), repeat=k)]
+    return lines
 
 
 def mixed_partition(f: FieldDescriptor, n: int, d: int) -> Partition:

@@ -891,6 +891,47 @@ def main_survives(argv: list[str]) -> int:
     return code
 
 
+LINE_DOCUMENTS = [
+    (partition_from_json, partition_to_json(
+        spread_partition(gf.field_new(3, 1), 4, 1))),
+    (cover_from_json, cover_to_json(cover_finite(F2, 5, 4))),
+    (partition_from_json, partition_to_json(
+        spread_partition(gf.field_new(2, 2), 3, 1))),
+]
+
+
+def read_outcomes():
+    """What the reader makes of each line document with each value path in
+    turn replaced by each of a fixed list of values: the cover or partition
+    it reads, or the message of the ValueError it raises."""
+    for read, doc in LINE_DOCUMENTS:
+        q = doc["ambient"]["field"]["p"] ** doc["ambient"]["field"]["m"]
+        for *parents, last in value_paths(doc):
+            target = doc
+            for key in parents:
+                target = target[key]
+            kept = target[last]
+            # 0 and q - 1 make zero rows and leads other than 1
+            for value in (True, 1.0, -1, q, None, "", [1], {}, 0, q - 1):
+                target[last] = value
+                try:
+                    yield read(doc)
+                except ValueError as exc:
+                    yield str(exc)
+            target[last] = kept
+
+
+def test_line_families_read_alike_with_and_without_the_bulk_path(
+        monkeypatch):
+    for _, doc in LINE_DOCUMENTS:
+        family = doc.get("parts") or doc["subspaces"]
+        f = gf.field_from_json(doc["ambient"]["field"])
+        assert linalg._lines_from_json(family, f)
+    bulk = list(read_outcomes())
+    monkeypatch.setattr(linalg, "_lines_from_json", lambda *args: None)
+    assert list(read_outcomes()) == bulk
+
+
 # Integer flag values, as (usual, rare) draws: small, or negative, zero,
 # huge or not integers.  The small ones stay at most 3, so that with a
 # raised SUBCOVER_MAX_Q_POW the largest space drawn is GF(27)^3.

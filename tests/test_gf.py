@@ -377,9 +377,10 @@ class TestTables:
         assert list(got_zech) == zech
         assert log_minus_one == log[p - 1]
 
-    # GF(2^8) is the largest field with byte tables
-    @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (3, 2), (251, 1),
-                                     (2, 8)])
+    # every field with byte tables, up to GF(2^8)
+    @pytest.mark.parametrize("p,m", [
+        (p, m) for p in range(2, 257) if is_prime(p)
+        for m in range(1, 9) if p**m <= 256])
     def test_byte_tables_match_add_and_mul(self, p, m):
         f = field_new(p, m)
         muls = f.byte_tables

@@ -1,5 +1,6 @@
 """Spread and mixed partitions, plus the extension-field model behind them."""
 
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -42,6 +43,19 @@ def from_coords(ext, coords):
         if c:
             w = top.add(w, top.mul(embed(ext, c), b))
     return w
+
+
+def swept_lines(f, n):
+    """The lines of GF(q)^n by the general spread construction: the cosets
+    alpha GF(q)* of GF(q^n) in increasing least element alpha, each the
+    span of alpha's coordinates.  The reference for ``_prime_lines``."""
+    ext = FieldExtension(f, n)
+    units = ext.top.subfield(f.m)[1:]
+    powers = ext.top.subfield(ext.top.m)[1:]
+    step = len(powers) // len(units)
+    alphas = sorted(min(powers[i::step]) for i in range(step))
+    return tuple(subspace_from_generators(f, n, [ext.to_coords(alpha)])
+                 for alpha in alphas)
 
 
 def nonzero_count(partition):
@@ -131,6 +145,20 @@ class TestSpread:
         assert nonzero_count(p) == f.q**n - 1
         assert verify_partition(p).ok
 
+    @pytest.mark.parametrize("p,n", [
+        (p, n) for p in (2, 3, 5, 7, 11, 13, 257)
+        for n in range(1, 15) if n == 1 or p**n <= 2**14])
+    def test_prime_lines_are_the_coset_sweep(self, p, n):
+        f = field_new(p, 1)
+        parts = spread_partition(f, n, 1).parts
+        want = swept_lines(f, n)
+        assert parts == want
+        assert [s.pivots for s in parts] == [s.pivots for s in want]
+        # built in bulk, the parts still hash and freeze as dataclasses
+        assert set(parts) == set(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parts[-1].n = n
+
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
             spread_partition(F2, 5, 2)
@@ -144,11 +172,13 @@ class TestSpread:
         assert spread_partition(F3, 4, 2) == spread_partition(F3, 4, 2)
 
     def test_extension_cache_is_bounded(self):
-        # each cached top field keeps its tables
+        # each cached top field keeps its tables; lines over a prime field
+        # build no top field, the spread of GF(p)^2 into one plane does
         primes = [p for p in range(2, 80) if is_prime(p)]
         assert len(primes) > FIELD_CACHE_SIZE
         for p in primes:
             assert len(spread_partition(field_new(p, 1), 2, 1).parts) == p + 1
+            assert len(spread_partition(field_new(p, 1), 2, 2).parts) == 1
         assert gf._build_field.cache_info().currsize <= FIELD_CACHE_SIZE
 
 
