@@ -286,16 +286,8 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
             tables[u] = int.from_bytes(lanes.tobytes(), byteorder)
         return tables[u]
 
-    class Scaled(dict):
-        # weight[col] * table(u) for every column u met at index col
-        def __init__(self, col: int):
-            self.col = col
-
-        def __missing__(self, u: Row) -> int:
-            self[u] = value = weight[self.col] * table(u)
-            return value
-
-    scaled = [Scaled(col) for col in range(n)]
+    # weight[col] * table(u) for every column u met at index col
+    scaled: list[dict[Row, int]] = [{} for _ in range(n)]
     starts: dict[tuple[int, ...], tuple[int, int]] = {}
     accs, counts = [], []
     for s in cands:
@@ -306,7 +298,12 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
             starts[s.pivots] = (sum(shift[p] << (8 * lane_bytes * j)
                                     for j, p in enumerate(leads)), len(leads))
         start, count = starts[s.pivots]
-        accs.append(sum(map(getitem, scaled, zip(*s.basis)), start))
+        try:
+            accs.append(sum(map(getitem, scaled, zip(*s.basis)), start))
+        except KeyError:  # a column not met before at its index
+            for col, u in enumerate(zip(*s.basis)):
+                scaled[col][u] = weight[col] * table(u)
+            accs.append(sum(map(getitem, scaled, zip(*s.basis)), start))
         counts.append(count)
     # Decode every candidate's lanes into one array, then split them by
     # candidate.  The column tables and the packed ints are each about as

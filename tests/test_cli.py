@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -647,6 +648,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("flag", ["--cover", "--partition"])
+    def test_empty_path_cannot_be_read(self, capsys, flag):
+        code, out, err = run(capsys, "verify", flag, "")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read") and "Traceback" not in err
+
     def test_missing_key_error_is_short(self, capsys, tmp_path):
         _, out, _ = run(capsys, "partition", "--p", "2", "--n", "8",
                         "--d", "1", "--kind", "spread")
@@ -1116,6 +1123,114 @@ class TestLimitCommand:
         code, out, _ = run(capsys, "limit", "--n", "41", "--k", "29")
         assert code == 0
         assert json.loads(out) == {"cover_number": 4, "value_at_q1": "41/12"}
+
+
+@pytest.fixture(scope="module")
+def family_files(tmp_path_factory):
+    """A cover and a partition document that verify, a copy of each with
+    one member removed, and malformed JSON, by "@" and name."""
+    tmp = tmp_path_factory.mktemp("families")
+    files = {}
+    for name, argv, key in [
+            ("cover", ["cover", "--p", "3", "--n", "3", "--k", "1"],
+             "subspaces"),
+            ("partition", ["partition", "--p", "2", "--n", "6", "--d", "2",
+                           "--kind", "spread"], "parts")]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        doc = json.loads(out.getvalue())
+        files[f"@{name}"] = tmp / f"{name}.json"
+        files[f"@{name}"].write_text(json.dumps(doc))
+        doc[key].pop()
+        if "count" in doc:
+            doc["count"] -= 1
+        files[f"@{name}-broken"] = tmp / f"{name}-broken.json"
+        files[f"@{name}-broken"].write_text(json.dumps(doc))
+    files["@malformed"] = tmp / "malformed.json"
+    files["@malformed"].write_text('{"parts": [')
+    return files
+
+
+# every command, the verify commands naming a file of ``family_files``
+EVERY_COMMAND = [
+    (["cover", "--p", "2", "--n", "4", "--k", "2", "--verify"], 0),
+    (["partition", "--p", "2", "--n", "6", "--d", "3", "--kind", "spread",
+      "--verify"], 0),
+    (["partition", "--p", "2", "--n", "5", "--d", "2", "--kind", "mixed",
+      "--verify"], 0),
+    (["verify", "--cover", "@cover"], 0),
+    (["verify", "--cover", "@cover-broken"], 2),
+    (["verify", "--partition", "@partition"], 0),
+    (["verify", "--partition", "@partition-broken"], 2),
+    (["oracle", "min", "--p", "2", "--n", "4", "--k", "2"], 0),
+    (["oracle", "min", "--p", "3", "--m", "2", "--n", "3", "--k", "1"], 0),
+    (["nu", "--p", "2", "--n", "4", "--k", "1"], 0),
+    (["limit", "--n", "4", "--k", "1"], 0),
+    (["assign", "--k", "1", "--vector", "2,3/4"], 0),
+    (["countable", "--support", '{"1":"2","7":"1/3"}'], 0),
+    (["cover", "--p", "2", "--n", "4"], 1),
+    (["verify", "--partition", "@malformed"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,expected", EVERY_COMMAND,
+                         ids=[" ".join(argv) for argv, _ in EVERY_COMMAND])
+def test_no_command_leaves_cyclic_garbage(capsys, family_files, argv,
+                                          expected):
+    # each command runs with the collector paused, so whatever cycles it
+    # left would wait for the next collection; there must be none
+    argv = [str(family_files.get(a, a)) for a in argv]
+    cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        code = cli.main(argv)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (code, found) == (expected, 0)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv,expected", [
+    (["nu", "--p", "2", "--n", "4", "--k", "1"], 0),
+    (["cover", "--p", "2", "--n", "4"], 1),
+    (["verify", "--cover", "@cover-broken"], 2),
+], ids=["exit 0", "exit 1", "exit 2"])
+def test_collector_state_is_restored(capsys, family_files, enabled, argv,
+                                     expected):
+    argv = [str(family_files.get(a, a)) for a in argv]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = cli.main(argv)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (code, after) == (expected, enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_collector_is_paused_inside_a_command(monkeypatch, enabled):
+    # ``limit`` calls covers.f1_limit_value first; here it notes the
+    # collector's state and raises what no command catches
+    inside = []
+
+    def crash(n, k):
+        inside.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli.covers, "f1_limit_value", crash)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="unexpected"):
+            cli.main(["limit", "--n", "4", "--k", "1"])
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert (inside, after) == ([False], enabled)
 
 
 class TestErrors:
