@@ -6,21 +6,23 @@ in reduced row-echelon form, which makes set equality a plain tuple
 comparison and lets subspaces be deduplicated through hashing.
 
 Encodings are checked where they enter: the public entry points (``rref``,
-``subspace_from_generators``, ``kernel``, ``subspace_from_rref`` and the
-JSON readers) check every entry of each input once.  A construction that
-builds a family of subspaces checks all of its generator rows in one call
-of ``_spans``, which then reduces each part through the one elimination
-routine, ``_eliminate``, without checking it again.
+``subspace_from_generators``, ``kernel``, ``subspace_from_rref``,
+``contains``, ``project`` and the JSON readers) check every entry of each
+input once.  A construction that builds a family of subspaces checks all
+of its generator rows in one call of ``_spans``, and no part is checked
+again.
 
-Families of lines, the largest the constructions make, take a bulk path
-at both ends: ``_spans`` reduces a family whose parts are one nonzero row
-each in a few ``map`` passes over the whole family, and the JSON reader
-reads a family of one-row bases over the ambient field the same way
-(``_lines_from_json``), with one encoding check over all the rows.  Both
-build the family's ``Subspace`` values in bulk, in ``_lines``.  Every
-other family, and any family that fails a bulk check, takes the per-part
-path: ``_eliminate`` and ``subspace_from_rref`` for each part, with their
-error messages.
+Each part shape has one path.  Lines, the most numerous parts the
+constructions make, are built in bulk by ``_lines`` wherever they occur:
+``_spans`` sends every part of one nonzero row there in one pass and
+merges them back in order, and every other part goes through the one
+elimination loop, ``_eliminate``.  A valid document of any part size is
+read by one reader, ``_family_from_json``, after a few checks over the
+whole list: a family of one-row bases led by 1 is built by ``_lines``,
+with one encoding check over all its rows, and any other family by
+``subspace_from_rref`` part by part.  A list that fails those checks is
+read part by part by ``subspaces_from_json``, which names its first bad
+document.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, repeat
-from operator import indexOf, itemgetter
+from itertools import chain, compress, repeat
+from operator import indexOf, itemgetter, not_, truth
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
@@ -81,19 +83,8 @@ def rref(f: FieldDescriptor, matrix: Sequence[Sequence[int]]
 def _eliminate(f: FieldDescriptor, rows: Sequence[Row]
                ) -> tuple[tuple[Row, ...], tuple[int, ...]]:
     """``rref`` of a non-empty list of equal-length tuples whose entries
-    the caller has checked, with its pivot columns.  One row is scaled by
-    the inverse of its first nonzero entry, found at C speed; more rows are
-    reduced column by column."""
-    if len(rows) == 1:
-        row = rows[0]
-        c = next(filter(None, row), 0)
-        if not c:
-            return (row,), ()
-        lead = row.index(c)
-        if c != 1:
-            row = (0,) * lead + tuple(map(f.mul, repeat(f.inv(c)),
-                                          row[lead:]))
-        return (row,), (lead,)
+    the caller has checked, with its pivot columns, reduced column by
+    column."""
     rows = list(map(list, rows))
     nrows, ncols = len(rows), len(rows[0])
     sub, mul, inv = f.sub, f.mul, f.inv
@@ -160,23 +151,21 @@ def _spans(f: FieldDescriptor, n: int, gens: Sequence[Sequence[Row]]
     """The span of each list of generator tuples in ``gens``.  All their
     rows are checked first, in one pass: each must have length n and hold
     integer encodings of f, so a construction checks a family at once.
-    A family of one nonzero row each is spanned by ``_lines``, any other
-    part by part with ``_eliminate``."""
+    The parts of one nonzero row are spanned together by ``_lines``, every
+    other part by ``_span``, and the two are merged back in order."""
     rows = list(chain(*gens))
     if set(map(len, rows)) - {n}:
         bad = next(row for row in rows if len(row) != n)
         raise ValueError(f"generator has length {len(bad)}, ambient is {n}")
     _check_encodings(f.q, rows, "matrix")
-    if set(map(len, gens)) == {1}:
-        leads = _leads(rows)
-        if 0 not in leads:
-            return _lines(f, n, rows, leads)
-    return tuple(map(_span, repeat(f), repeat(n), gens))
-
-
-def _leads(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The first nonzero entry of each row, 0 for a zero row."""
-    return list(map(next, map(filter, repeat(None), rows), repeat(0)))
+    # a part's lead: its one row's first nonzero entry, 0 for other parts
+    leads = [next(filter(None, g[0]), 0) if len(g) == 1 else 0 for g in gens]
+    lines = iter(_lines(f, n, list(map(itemgetter(0), compress(gens, leads))),
+                        list(filter(None, leads))))
+    others = map(_span, repeat(f), repeat(n), compress(gens, map(not_, leads)))
+    # each part takes the next span of its side, lines or others
+    return tuple(map(next, map([others, lines].__getitem__,
+                               map(truth, leads))))
 
 
 def _lines(f: FieldDescriptor, n: int, rows: Sequence[Sequence[int]],
@@ -250,6 +239,7 @@ def contains(s: Subspace, v: Sequence[int]) -> bool:
     """Membership test: v reduced against the canonical basis is zero."""
     if len(v) != s.n:
         raise ValueError("dimension mismatch")
+    _check_encodings(s.field.q, (tuple(v),), "vector")
     sub, mul = s.field.sub, s.field.mul
     v = list(v)
     for row, pc in zip(s.basis, s.pivots):
@@ -342,6 +332,7 @@ def project(q: LinearQuotient, v: Sequence[int]) -> Row:
     if len(v) != q.ambient_dim:
         raise ValueError("dimension mismatch")
     f = q.field
+    _check_encodings(f.q, (tuple(v),), "vector")
     add, mul = f.add, f.mul
     out = []
     for row in q.coordinate_map:
@@ -516,26 +507,20 @@ def subspaces_to_json(subspaces: Iterable[Subspace],
 def subspaces_from_json(docs: list, ambient: FieldDescriptor | None = None
                         ) -> tuple[Subspace, ...]:
     """Parse a list of subspace documents.  A caller that has parsed the
-    ambient field already passes it as ``ambient``: a subspace whose field
-    document equals the ambient one, with plain ints where it has ints,
-    then reuses it instead of parsing its own, and the ambient document is
-    built once for the whole list.  A family of lines over the ambient
-    field is read by ``_lines_from_json``, every other list part by part."""
+    ambient field already passes it as ``ambient``, and a list whose
+    documents are all over that field, as ``subspaces_to_json`` writes
+    them, is read by ``_family_from_json``.  Any other list is read here
+    part by part, each part's field document parsed on its own, and the
+    first bad document raises ValueError."""
     if ambient is not None:
-        lines = _lines_from_json(docs, ambient)
-        if lines is not None:
-            return lines
-    ambient_doc = None if ambient is None else field_to_json(ambient)
+        family = _family_from_json(docs, ambient)
+        if family is not None:
+            return family
     out = []
     for doc in docs:
         field_doc, n, basis = json_fields(doc, "subspace", "field", "n",
                                           "basis")
-        if ambient is not None and field_doc == ambient_doc and {
-                type(field_doc["p"]), type(field_doc["m"]),
-                *map(type, field_doc["modulus"])} == {int}:
-            f = ambient
-        else:
-            f = field_from_json(field_doc)
+        f = field_from_json(field_doc)
         n = json_int(n, "subspace n", 1)
         if not (isinstance(basis, list)
                 and all(map(isinstance, basis, repeat(list)))):
@@ -545,38 +530,41 @@ def subspaces_from_json(docs: list, ambient: FieldDescriptor | None = None
     return tuple(out)
 
 
-def _lines_from_json(docs: list, ambient: FieldDescriptor
-                     ) -> tuple[Subspace, ...] | None:
-    """The subspaces of ``docs`` when every document is a line over the
-    ambient field as ``subspaces_to_json`` writes it, or None.  The checks
-    run as a few passes over the whole list, each reading a type before it
-    indexes a value: every basis is one list row (the cheapest check, so a
-    family with larger parts stops there), every ``n`` is one plain int,
-    every field document is the ambient one with plain ints, every row has
-    length n and holds encodings, and every row leads with 1.  A list that
-    fails any of them returns None, and the per-part reader then reads it,
-    raising its own error where there is one."""
-    if set(map(type, docs)) != {dict}:
+def _family_from_json(docs: list, ambient: FieldDescriptor
+                      ) -> tuple[Subspace, ...] | None:
+    """The subspaces of ``docs`` when every document is over the ambient
+    field as ``subspaces_to_json`` writes it, or None.  The checks run as a
+    few passes over the whole list, each reading a type before it indexes a
+    value: every document is a dict, every ``n`` is one plain int of at
+    least 1, every field document is the ambient one with plain ints, and
+    every basis is a list of list rows of length n.  A list that fails any
+    of them returns None, and the per-part reader then names its first bad
+    document.  A list that passes is a family: one of one-row bases whose
+    rows hold encodings and lead with 1 is built by ``_lines``, and any
+    other is read part by part by ``subspace_from_rref``, which raises its
+    own error for the first bad part."""
+    if not docs or set(map(type, docs)) != {dict}:
         return None
     bases = list(map(dict.get, docs, repeat("basis")))
-    if set(map(type, bases)) != {list} or set(map(len, bases)) != {1}:
-        return None
-    rows = list(chain.from_iterable(bases))
     ns = list(map(dict.get, docs, repeat("n")))
     n = ns[0]
     fields = list(map(dict.get, docs, repeat("field")))
     if (set(map(type, ns)) != {int} or n < 1 or ns.count(n) != len(ns)
-            or fields.count(field_to_json(ambient)) != len(fields)):
+            or fields.count(field_to_json(ambient)) != len(fields)
+            or set(map(type, bases)) != {list}):
         return None
+    rows = list(chain.from_iterable(bases))
     # fields equal to the ambient document have its keys, modulus a list
     if (set(map(type, chain(
             map(itemgetter("p"), fields), map(itemgetter("m"), fields),
             chain.from_iterable(map(itemgetter("modulus"), fields))))) != {int}
-            or set(map(type, rows)) != {list} or set(map(len, rows)) != {n}
-            or not _valid_encodings(ambient.q, rows)):
+            or set(map(type, rows)) - {list} or set(map(len, rows)) - {n}):
         return None
+    one_row = set(map(len, bases)) == {1}
     del bases, ns, fields  # not held while the family is built
-    leads = _leads(rows)
-    if leads.count(1) != len(leads):
-        return None
-    return _lines(ambient, n, rows, leads)
+    if one_row and _valid_encodings(ambient.q, rows):
+        leads = list(map(next, map(filter, repeat(None), rows), repeat(0)))
+        if leads.count(1) == len(leads):
+            return _lines(ambient, n, rows, leads)
+    return tuple(map(subspace_from_rref, repeat(ambient), repeat(n),
+                     map(itemgetter("basis"), docs)))

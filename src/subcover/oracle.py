@@ -27,13 +27,18 @@ and ``mul``, one call per entry.  The verifier packs the tuples into
 ``bytes`` and computes their indices as lanes of one int, with no field
 arithmetic.  The search builds its point-index tables from the same
 enumerator, one span per distinct basis column, and makes no call of
-field arithmetic per candidate.  The constructions call neither; they read
-their subfields off the field's log/antilog tables.  The counting bound
-is computed here, not taken from the constructions' closed form; only
-the check that a cover's provenance is its plan (``covers.follows_plan``)
-reads ``cover_plan``, and only the check that a partition's part
-dimensions are its kind's (``partitions.follows_kind``) reads the
-constructions' part counts.
+field arithmetic per candidate.  The constructions call neither the
+enumerator nor the search, but they read the same tables: their subfields
+come off the field's log/antilog tables, and where q <= 256
+``linalg._lines`` scales each line a construction spans whose lead is not
+1 by the same ``muls`` translate that ``span_tuples`` reads.  So one wrong
+``muls`` entry can shape both a construction's line and the vectors that
+check it.  (A document's lines are read as written, led by 1, and are not
+scaled.)  The counting bound is computed here, not taken from the
+constructions' closed form; only the check that a cover's provenance is
+its plan (``covers.follows_plan``) reads ``cover_plan``, and only the
+check that a partition's part dimensions are its kind's
+(``partitions.follows_kind``) reads the constructions' part counts.
 """
 
 from __future__ import annotations

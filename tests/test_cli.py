@@ -90,6 +90,17 @@ class TestNu:
                            "--n", "3", "--k", "1")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "3", "--infinite-dim"],
+         "give either --n or --infinite-dim, not both"),
+        ([], "--n or --infinite-dim is required"),
+        (["--n", "0"], "finite dimension must be >= 1"),
+    ], ids=["both", "neither", "zero"])
+    def test_dimension_flags(self, capsys, argv, message):
+        code, out, err = run(capsys, "nu", "--p", "2", *argv, "--k", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["--m", "5", "--n", "4"], ["--m", "0", "--infinite-dim"],
     ], ids=["finite-dim", "infinite-dim"])
@@ -530,6 +541,16 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--cover", str(path))
         assert code == 1 and "error" in err
 
+    def test_uncleared_pivot_column_rejected(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "cover", "--p", "2", "--n", "4", "--k", "2")
+        doc = json.loads(out)
+        doc["subspaces"][1]["basis"] = [[1, 1, 0, 0], [0, 1, 0, 0]]
+        path = tmp_path / "uncleared.json"
+        path.write_text(json.dumps(doc))
+        code, out2, err = run(capsys, "verify", "--cover", str(path))
+        assert code == 1 and out2 == ""
+        assert err == "error: pivot column not cleared\n"
+
     def test_part_repeated_300_times(self, capsys, tmp_path):
         # hit counts saturate in a byte: 301 hits must still read as doubled
         _, out, _ = run(capsys, "partition", "--p", "2", "--n", "4",
@@ -824,6 +845,15 @@ class TestSizeGuards:
         self.assert_rejected(run(capsys, "cover", "--p", "2", "--n",
                                  str(self.HUGE), "--k", "1"))
 
+    @pytest.mark.parametrize("guard", ["1", "0"])
+    def test_guard_below_two_rejected(self, capsys, monkeypatch, guard):
+        monkeypatch.setenv("SUBCOVER_MAX_Q_POW", guard)
+        code, out, err = run(capsys, "cover", "--p", "2", "--n", "3",
+                             "--k", "1")
+        assert code == 1 and out == ""
+        assert err == ("error: SUBCOVER_MAX_Q_POW must be at least 2, "
+                       f"got {guard}\n")
+
     @pytest.mark.parametrize("guard,n", [(2**62, 61), (2**70, 65)])
     def test_raised_guard_past_what_memory_holds(self, capsys, monkeypatch,
                                                  guard, n):
@@ -898,12 +928,16 @@ def main_survives(argv: list[str]) -> int:
     return code
 
 
+# families of lines, then of larger parts: all read by one reader
 LINE_DOCUMENTS = [
     (partition_from_json, partition_to_json(
         spread_partition(gf.field_new(3, 1), 4, 1))),
     (cover_from_json, cover_to_json(cover_finite(F2, 5, 4))),
     (partition_from_json, partition_to_json(
         spread_partition(gf.field_new(2, 2), 3, 1))),
+    (partition_from_json, partition_to_json(spread_partition(F2, 4, 2))),
+    (partition_from_json, partition_to_json(mixed_partition(F2, 5, 2))),
+    (cover_from_json, cover_to_json(cover_finite(F2, 5, 3))),
 ]
 
 
@@ -933,10 +967,32 @@ def test_line_families_read_alike_with_and_without_the_bulk_path(
     for _, doc in LINE_DOCUMENTS:
         family = doc.get("parts") or doc["subspaces"]
         f = gf.field_from_json(doc["ambient"]["field"])
-        assert linalg._lines_from_json(family, f)
+        assert linalg._family_from_json(family, f)
     bulk = list(read_outcomes())
-    monkeypatch.setattr(linalg, "_lines_from_json", lambda *args: None)
+    monkeypatch.setattr(linalg, "_family_from_json", lambda *args: None)
     assert list(read_outcomes()) == bulk
+
+
+def test_valid_documents_are_read_without_parsing_part_fields(
+        monkeypatch):
+    # a line spread, a d = 2 spread, a d = 1 mixed partition and a peeled
+    # cover: the per-part reader, the only caller of field_from_json in
+    # linalg, is never reached
+    docs = [
+        (partition_from_json, partition_to_json(spread_partition(F2, 4, 1))),
+        (partition_from_json, partition_to_json(spread_partition(F2, 6, 2))),
+        (partition_from_json, partition_to_json(
+            mixed_partition(gf.field_new(3, 1), 3, 1))),
+        (cover_from_json, cover_to_json(cover_finite(F2, 5, 3))),
+    ]
+    assert docs[-1][1]["provenance"]["kind"] == "peeling"
+    want = [read(doc) for read, doc in docs]
+
+    def refuse(doc):
+        raise AssertionError("a part's field document was parsed")
+
+    monkeypatch.setattr(linalg, "field_from_json", refuse)
+    assert [read(doc) for read, doc in docs] == want
 
 
 # Integer flag values, as (usual, rare) draws: small, or negative, zero,
@@ -1083,6 +1139,16 @@ class TestAssignCommand:
         code, _, err = run(capsys, "assign", "--k", "1", "--vector", "1,x")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("positions,message", [
+        ("a,b", "bad positions 'a,b'"),
+        ("0,1,2", "need 2 positions for k=1"),
+    ])
+    def test_bad_positions(self, capsys, positions, message):
+        code, out, err = run(capsys, "assign", "--k", "1", "--vector",
+                             "1,2,3", "--positions", positions)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("k", ["2", str(10**12)])
     def test_k_past_the_vector(self, capsys, k):
         code, out, err = run(capsys, "assign", "--k", k, "--vector", "1,2")
@@ -1110,6 +1176,11 @@ class TestCountableCommand:
     def test_zero_scalar_rejected(self, capsys):
         code, _, err = run(capsys, "countable", "--support", '{"3":"0"}')
         assert code == 1 and "error" in err
+
+    def test_index_that_is_not_an_integer_rejected(self, capsys):
+        code, out, err = run(capsys, "countable", "--support", '{"x":"1"}')
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad support entry: ")
 
     def test_deeply_nested_support_rejected(self, capsys):
         code, out, err = run(capsys, "countable", "--support",

@@ -75,6 +75,14 @@ class TestNu:
                           for k in range(1, n)]
                 assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("k,n", [(0, 3), (3, 3), (4, 3)])
+    def test_cover_count_needs_k_below_n(self, k, n):
+        # nu checks k first; minimal_cover_count checks again for its own
+        # callers
+        with pytest.raises(ValueError) as exc:
+            minimal_cover_count(2, n, k)
+        assert str(exc.value) == f"need 1 <= k < n, got k={k}, n={n}"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             nu(SpaceSpec(F2, 3), 3)
@@ -321,6 +329,17 @@ class TestProjectiveAssign:
         assert index == ProjectiveIndex(1, ())
         assert witness.coefficient == 0
         assert witness.validate(v)
+
+    def test_negative_leading_position_rejected(self):
+        with pytest.raises(ValueError, match="leading position must be >= 0"):
+            ProjectiveIndex(-1, ())
+
+    def test_witness_of_another_length_fails(self):
+        v = (2, 3, 7, 11)
+        _, witness = projective_assign(v, (0, 1))
+        assert witness.validate(v)
+        assert not witness.validate(v[:3])
+        assert not witness.validate(v + (0,))
 
     def test_random_witnesses_validate(self):
         rng = random.Random(41)

@@ -133,6 +133,12 @@ class TestArith:
         with pytest.raises(ZeroDivisionError):
             f2.div(1, 0)
 
+    @pytest.mark.parametrize("f", [field_new(2, 1), field_new(3, 2)])
+    def test_zero_to_a_negative_power(self, f):
+        assert f.pow(0, 0) == 1 and f.pow(0, 2) == 0
+        with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
+            f.pow(0, -1)
+
 
 class TestFrobenius:
     """The i-fold Frobenius map a -> a^(p^i), as ``f.pow(a, f.p**i)``."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcover import linalg
+from subcover import linalg, partitions
 from subcover.gf import field_new
 from subcover.linalg import (
     annihilator,
@@ -177,6 +177,14 @@ class TestContains:
         with pytest.raises(ValueError):
             contains(s, (1, 0))
 
+    @pytest.mark.parametrize("v", [(5, 0), (1.0, 0), (0, 5), (True, 0)])
+    def test_vector_entries_checked(self, v):
+        s = subspace_from_generators(F2, 2, [(1, 0)])
+        with pytest.raises(ValueError) as exc:
+            contains(s, v)
+        assert str(exc.value) == ("vector entries must be integer encodings "
+                                  f"in [0, 2), got {list(v)!r}")
+
 
 class TestIntersectAndSum:
     def test_idempotence(self):
@@ -301,9 +309,30 @@ class TestQuotientProjectLift:
         for row in v0.basis:
             assert not any(project(q, row))
 
+    @pytest.mark.parametrize("v,message", [
+        ((0, 7), "vector entries must be integer encodings in [0, 2), "
+                 "got [0, 7]"),
+        ((0, -1), "vector entries must be integer encodings in [0, 2), "
+                  "got [0, -1]"),
+        ((0, 1, 0), "dimension mismatch"),
+    ])
+    def test_project_checks_the_vector(self, v, message):
+        q = quotient(subspace_from_generators(F2, 2, [(1, 0)]))
+        with pytest.raises(ValueError) as exc:
+            project(q, v)
+        assert str(exc.value) == message
+
     def test_full_kernel_rejected(self):
         with pytest.raises(ValueError):
             quotient(full_subspace(F2, 3))
+
+    @pytest.mark.parametrize("s_bar", [zero_subspace(F2, 3),
+                                       zero_subspace(F3, 2)])
+    def test_lift_of_another_space_rejected(self, s_bar):
+        q = quotient(subspace_from_generators(F2, 4, [(0, 0, 1, 0),
+                                                      (0, 0, 0, 1)]))
+        with pytest.raises(ValueError, match="ambient space mismatch"):
+            lift(q, s_bar)
 
     def test_lift_trivial_cases(self):
         v0 = subspace_from_generators(F2, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
@@ -619,11 +648,39 @@ def test_pivots_are_the_leading_columns(f, n, data):
     (F3, (0, 0, 0)),
 ], ids=["lead-2-gf3", "lead-x-gf4", "lead-256-gf257", "zero-row"])
 def test_one_row_matches_the_reference(f, row):
-    # one row takes its own route: scaled by its lead's inverse at once
+    # one row is reduced by the same column loop as more rows
     reduced, rank = _ref_rref(f, [row])
     assert rref(f, [row]) == (reduced, rank)
     s = subspace_from_generators(f, len(row), [row])
     assert (s.basis, s.pivots) == _ref_from_generators(f, len(row), [row])
+
+
+@pytest.mark.parametrize("f,n", [(F3, 4), (field_new(5, 2), 3)])
+def test_one_row_parts_are_spanned_without_elimination(monkeypatch, f, n):
+    # the d = 1 mixed partition is one part of n - 1 rows and q^(n-1)
+    # one-row parts; only the first is eliminated while the family is
+    # spanned, and every part is the per-part reference's reduction of its
+    # generators, in order
+    seen, calls = [], []
+    spans, eliminate = partitions._spans, linalg._eliminate
+
+    def record_spans(f, n, gens):
+        calls.clear()  # building the field extension eliminates too
+        seen.append(gens)
+        return spans(f, n, gens)
+
+    def record_eliminate(f, rows):
+        calls.append(len(rows))
+        return eliminate(f, rows)
+
+    monkeypatch.setattr(partitions, "_spans", record_spans)
+    monkeypatch.setattr(linalg, "_eliminate", record_eliminate)
+    parts = partitions.mixed_partition(f, n, 1).parts
+    assert calls == [n - 1]
+    [gens] = seen
+    assert len(gens) == len(parts) == 1 + f.q ** (n - 1)
+    assert [(s.basis, s.pivots) for s in parts] == [
+        _ref_from_generators(f, n, rows) for rows in gens]
 
 
 class TestMatrixInverse:

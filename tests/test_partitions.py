@@ -116,6 +116,12 @@ class TestFieldExtension:
                     base.mul(c, x) for x in coords)
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_extension_degree_below_one_rejected(degree):
+    with pytest.raises(ValueError, match="extension degree must be >= 1"):
+        FieldExtension(F2, degree)
+
+
 class TestSpread:
     def test_lines_of_f2_squared(self):
         p = spread_partition(F2, 2, 1)
