@@ -3,26 +3,23 @@
 Exit codes: 0 success, 1 validation error (bad arguments, malformed input),
 2 verification failure.
 
-Every JSON document goes to stdout through ``_dump`` as the text of
-``json.dumps(doc, sort_keys=True, separators=(",", ":"))``.  ``_dump``
-writes a dict's top-level keys itself, in sorted order.  A value that is a
-family of subspace documents as ``linalg.subspaces_to_json`` builds them
-(``basis``, ``field`` and ``n`` only, one shared field-document object, one
-``n``, non-empty bases of list rows) is written by ``_family``: one
-``json.dumps`` of all the bases, split at the part boundary ``]],[[``, and
-one ``str.join`` around the ``,"field":...,"n":...`` text, encoded once, so
-the encoder does not encode the field document once per part.  Every other
-value goes through ``json.dumps``.
+Every JSON document on stdout is ``json.dumps(doc, sort_keys=True,
+separators=(",", ":"))`` and a newline.  ``cover`` and ``partition`` write
+theirs from the constructed object (``_print_built``), with no per-part
+documents: the other keys are encoded around an empty family, and the
+family goes out ``FAMILY_CHUNK`` parts at a time, each chunk one
+``json.dumps`` of its bases, split at the part boundary ``]],[[``, joined
+around the shared ``,"field":...,"n":...`` text and written at once.  A
+part with no rows would hide a boundary; no construction makes one, and
+the writer refuses it.  Every other command prints ``_encode(doc)``.
 
 ``main`` runs each command with the cyclic garbage collector paused and
 turns it back on afterwards only if it was on before.  A family of
-thousands of parts is many small containers, each of which counts toward
-the next collection, and no command leaves a reference cycle behind (the
-one cyclic structure, the parser ``build_parser`` keeps, is never
-garbage), so every collection would find nothing; reference counting
-still frees each value as soon as it is dropped.  The tests run every
-command with the collector off and require ``gc.collect()`` to find
-nothing afterwards.
+thousands of parts is many small containers, each counting toward the
+next collection, yet no command leaves a reference cycle (the parser
+``build_parser`` keeps is never garbage), so every collection would find
+nothing; reference counting still frees each value when it is dropped.
+The tests require ``gc.collect()`` to find nothing after every command.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import json
 import operator
 import sys
@@ -52,42 +48,8 @@ def _encode(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _family(docs) -> str | None:
-    """The JSON text of a family of subspace documents, or None when
-    ``docs`` is anything else (an empty list included)."""
-    if (type(docs) is not list or not docs
-            or set(map(type, docs)) != {dict} or set(map(len, docs)) != {3}):
-        return None
-    try:
-        bases, fields, ns = (list(map(operator.itemgetter(key), docs))
-                             for key in ("basis", "field", "n"))
-    except KeyError:
-        return None
-    if (not all(map(operator.is_, fields, itertools.repeat(fields[0])))
-            or set(map(type, ns)) != {int} or len(set(ns)) != 1
-            or set(map(type, bases)) != {list} or not all(bases)
-            or set(map(type, itertools.chain.from_iterable(bases))) != {list}):
-        return None
-    # Each basis is written "[[...]]", so the text of all of them is
-    # "[[[" + the parts' rows joined at "]],[[" + "]]]".  A part whose text
-    # holds "]],[[" itself (a nested list or a string) gives one piece too
-    # many, and is left to json.dumps.
-    pieces = _encode(bases)[3:-3].split("]],[[")
-    if len(pieces) != len(docs):
-        return None
-    head = '{"basis":[['
-    tail = f']],"field":{_encode(fields[0])},"n":{_encode(ns[0])}}}'
-    return "".join(("[", head, (tail + "," + head).join(pieces), tail, "]"))
-
-
-def _dump(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, with the
-    families among a dict's values written by ``_family``."""
-    if type(doc) is not dict or set(map(type, doc)) - {str}:
-        return _encode(doc)
-    return "{" + ",".join(
-        f"{_encode(key)}:{_family(doc[key]) or _encode(doc[key])}"
-        for key in sorted(doc)) + "}"
+# The most parts of a family ``_print_built`` encodes in one ``json.dumps``.
+FAMILY_CHUNK = 4096
 
 
 def _int_text(n: int) -> str:
@@ -125,25 +87,44 @@ def _cmd_nu(args) -> int:
         return 0
     doc = covers.cardinality_to_json(card)
     count = doc.pop("count", None)
-    text = _dump(doc)
+    text = _encode(doc)
     if count is not None:  # "count" is the first key in sorted order
         text = f'{{"count":{_int_text(count)},{text[1:]}'
     print(text)
     return 0
 
 
-def _print_built(doc: dict, report) -> int:
-    """Print a construction's document, with its verification report when
-    one was asked for, and return the exit code."""
+def _print_built(built, doc: dict, key: str, report) -> int:
+    """Print the document of the cover or partition ``built``, with its
+    verification report when one was asked for, and return the exit code.
+    ``doc`` holds every key but the family ``key``, which is written from
+    ``built``'s parts chunk by chunk (see the module docstring)."""
     if report is not None:
         doc["verification"] = report.to_json()
-    print(_dump(doc))
+    doc[key] = []
+    before, after = _encode(doc).split(f'"{key}":[]')
+    head = '{"basis":[['
+    tail = (f']],"field":{_encode(gf.field_to_json(built.field))},'
+            f'"n":{built.n}}}')
+    write = sys.stdout.write
+    write(f'{before}"{key}":[')
+    parts = getattr(built, key)
+    for start in range(0, len(parts), FAMILY_CHUNK):
+        bases = tuple(map(operator.attrgetter("basis"),
+                          parts[start:start + FAMILY_CHUNK]))
+        pieces = _encode(bases)[3:-3].split("]],[[")
+        # a part with no rows hides a boundary, or is alone in its chunk
+        if len(pieces) != len(bases) or not bases[0]:
+            raise AssertionError("a part with no rows cannot be written")
+        write(("," if start else "") + head
+              + (tail + "," + head).join(pieces) + tail)
+    write(f"]{after}\n")
     return 0 if report is None or report.ok else 2
 
 
 def _cmd_cover(args) -> int:
     cover = covers.cover_finite(_field_from_args(args), args.n, args.k)
-    return _print_built(covers.cover_to_json(cover),
+    return _print_built(cover, covers.cover_head_to_json(cover), "subspaces",
                         oracle.verify_cover(cover) if args.verify else None)
 
 
@@ -151,7 +132,7 @@ def _cmd_partition(args) -> int:
     build = (partitions.spread_partition if args.kind == "spread"
              else partitions.mixed_partition)
     part = build(_field_from_args(args), args.n, args.d)
-    return _print_built(partitions.partition_to_json(part),
+    return _print_built(part, partitions.partition_head_to_json(part), "parts",
                         oracle.verify_partition(part) if args.verify else None)
 
 
@@ -170,7 +151,7 @@ def _cmd_verify(args) -> int:
         report = oracle.verify_cover(covers.cover_from_json(doc))
     else:
         report = oracle.verify_partition(partitions.partition_from_json(doc))
-    print(_dump(report.to_json()))
+    print(_encode(report.to_json()))
     return 0 if report.ok else 2
 
 
@@ -198,7 +179,7 @@ def _cmd_assign(args) -> int:
     if not witness.validate(vector):
         print("membership witness failed to validate", file=sys.stderr)
         return 2
-    print(_dump(covers.projective_index_to_json(index)))
+    print(_encode(covers.projective_index_to_json(index)))
     return 0
 
 
@@ -224,7 +205,7 @@ def _cmd_limit(args) -> int:
         "cover_number": covers.f1_cover_number(args.n, args.k),
         "value_at_q1": f"{value.numerator}/{value.denominator}",
     }
-    print(_dump(doc))
+    print(_encode(doc))
     return 0
 
 

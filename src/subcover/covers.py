@@ -476,11 +476,16 @@ def provenance_from_json(doc: dict) -> Provenance:
 
 
 def cover_to_json(c: Cover) -> dict:
+    return cover_head_to_json(c) | {
+        "subspaces": subspaces_to_json(c.subspaces, c.field)}
+
+
+def cover_head_to_json(c: Cover) -> dict:
+    """``cover_to_json(c)`` without its family, ``"subspaces"``."""
     return {
         "ambient": {"field": field_to_json(c.field), "n": c.n},
         "codim": c.codim,
         "count": c.count,
-        "subspaces": subspaces_to_json(c.subspaces, c.field),
         "provenance": provenance_to_json(c.provenance),
     }
 

@@ -139,6 +139,20 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field!r}^{self.n})"
 
+    @staticmethod
+    def bulk(f: FieldDescriptor, n: int, bases: Iterable[tuple[Row, ...]],
+             pivots: Iterable[tuple[int, ...]]) -> tuple[Subspace, ...]:
+        """A subspace of F^n per basis in RREF, with the next pivot tuple,
+        set through the slot descriptors in a few ``map`` passes: the
+        frozen dataclass ``__init__`` costs more than twice as much."""
+        bases = tuple(bases)
+        out = tuple(map(object.__new__, repeat(Subspace, len(bases))))
+        for slot, values in ((Subspace.field, repeat(f)),
+                             (Subspace.n, repeat(n)), (Subspace.basis, bases),
+                             (Subspace.pivots, pivots)):
+            deque(map(slot.__set__, out, values), 0)
+        return out
+
 
 def subspace_from_generators(f: FieldDescriptor, n: int,
                              vectors: Iterable[Sequence[int]]) -> Subspace:
@@ -173,10 +187,11 @@ def _lines(f: FieldDescriptor, n: int, rows: Sequence[Sequence[int]],
     """The span of each nonzero row of length n, whose entries the caller
     has checked, given its lead: the row scaled by the lead's inverse, with
     one ``muls`` translate where q <= 256, and pivot at the lead.  The whole
-    family is built in a few ``map`` passes, its ``Subspace`` values set
-    through the slot descriptors, since the frozen dataclass ``__init__``
-    costs more than twice as much per part."""
-    pivots = zip(map(indexOf, rows, leads))  # read off the unscaled rows
+    family is built in a few ``map`` passes by ``Subspace.bulk``, and its
+    lines share the n distinct pivot tuples."""
+    # read off the unscaled rows
+    pivots = map([(c,) for c in range(n)].__getitem__,
+                 map(indexOf, rows, leads))
     if leads.count(1) != len(leads):
         muls = f.byte_tables
         if muls:
@@ -186,12 +201,7 @@ def _lines(f: FieldDescriptor, n: int, rows: Sequence[Sequence[int]],
         else:
             rows = map(map, repeat(f.mul), map(repeat, map(f.inv, leads)),
                        rows)
-    out = tuple(map(object.__new__, repeat(Subspace, len(leads))))
-    for slot, values in ((Subspace.field, repeat(f)), (Subspace.n, repeat(n)),
-                         (Subspace.basis, zip(map(tuple, rows))),
-                         (Subspace.pivots, pivots)):
-        deque(map(slot.__set__, out, values), 0)
-    return out
+    return Subspace.bulk(f, n, zip(map(tuple, rows)), pivots)
 
 
 def _span(f: FieldDescriptor, n: int, rows: Sequence[Row]) -> Subspace:

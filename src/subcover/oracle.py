@@ -1,44 +1,38 @@
 """Brute-force verification and minimality search.
 
 Covers and partitions are checked by enumerating every vector of every
-claimed subspace from its basis; minimal cover sizes are recomputed by an
-exact set-cover search over projective points that deepens from the
-counting bound ceil(points / points per subspace) and prunes with
-ceil(remaining points / points per subspace).  The search is iterative
-and branches on the lowest uncovered point: GL(n, q) is transitive on
-points, so every point lies in equally many candidates and the lowest one
-is as constrained as any.  Its candidates are built per pivot tuple, as
-the product of each RREF row's possible rows.  Their point masks are not
-enumerated vector by vector.  The points are the lines of F^n, each
-represented with its first nonzero coordinate 1 and ordered by leading
-index, then suffix.  A point's position in that order is linear in its
-coordinates, so each candidate's point indices are a sum of per-column
-tables held as packed lanes of one int (see ``_point_masks``).
+claimed subspace from its basis.  Minimal cover sizes are recomputed by an
+exact, iterative set-cover search over projective points that deepens from
+the counting bound ceil(points / points per subspace), prunes with
+ceil(remaining points / points per subspace) and branches on the lowest
+uncovered point: GL(n, q) is transitive on points, so every point lies in
+equally many candidates and the lowest one is as constrained as any.  The
+candidates are built per pivot tuple, as the product of each RREF row's
+possible rows.  The points are the lines of F^n, each with its first
+nonzero coordinate 1, ordered by leading index, then suffix; a point's
+position is linear in its coordinates, so a candidate's point indices are
+a sum of per-column tables held as packed lanes of one int, and each table
+holds only the values of the projective points (see ``_point_masks``).
 
-Shared with the construction code: the ``Subspace`` type and the field
-descriptor.  Every vector verified here comes out of the span enumerator
-``linalg.span_tuples`` as a tuple.  While q <= 256 it translates a row's
-``bytes`` by the field's ``muls`` tables (``mul`` written out, see
-``byte_tables``), and where a byte holds the sum of two entries it adds
-such rows as whole vectors in big ints (XOR in characteristic 2, for odd
-p a bytewise add and a mod-p ``translate``; see ``linalg._vector_sums``).
-Other fields, all with q >= 81, enumerate spans with the field's ``add``
-and ``mul``, one call per entry.  The verifier packs the tuples into
-``bytes`` and computes their indices as lanes of one int, with no field
-arithmetic.  The search builds its point-index tables from the same
-enumerator, one span per distinct basis column, and makes no call of
-field arithmetic per candidate.  The constructions call neither the
-enumerator nor the search, but they read the same tables: their subfields
-come off the field's log/antilog tables, and where q <= 256
-``linalg._lines`` scales each line a construction spans whose lead is not
-1 by the same ``muls`` translate that ``span_tuples`` reads.  So one wrong
-``muls`` entry can shape both a construction's line and the vectors that
-check it.  (A document's lines are read as written, led by 1, and are not
-scaled.)  The counting bound is computed here, not taken from the
-constructions' closed form; only the check that a cover's provenance is
-its plan (``covers.follows_plan``) reads ``cover_plan``, and only the
-check that a partition's part dimensions are its kind's
-(``partitions.follows_kind``) reads the constructions' part counts.
+Shared with the construction code: the ``Subspace`` type, with
+``Subspace.bulk`` for whole families, and the field descriptor.  Every
+vector enumerated here comes out of ``linalg.span_tuples``: while q <= 256
+it translates a row's ``bytes`` by the field's ``muls`` tables (see
+``byte_tables``) and, where a byte holds the sum of two entries, adds
+whole vectors in big ints (see ``linalg._vector_sums``); other fields, all
+with q >= 81, call ``add`` and ``mul`` once per entry.  The verifier packs
+the vectors into ``bytes`` and indexes them as lanes of one int, and the
+search builds its point-index tables from the enumerator and ``add``;
+neither calls field arithmetic per vector or candidate.  The constructions
+call neither the enumerator nor the search, but read the same tables:
+their subfields come off the log/antilog tables, and where q <= 256
+``linalg._lines`` scales each constructed line whose lead is not 1 by the
+``muls`` translate that ``span_tuples`` reads, so one wrong ``muls`` entry
+can shape both a line and the vectors that check it (a document's lines
+are read as written, led by 1).  The counting bound is computed here, not
+taken from the constructions' closed form; only ``covers.follows_plan``
+reads ``cover_plan``, and only ``partitions.follows_kind`` reads the
+constructions' part counts.
 """
 
 from __future__ import annotations
@@ -50,7 +44,7 @@ from functools import partial
 from itertools import chain, combinations, islice, product, repeat
 from operator import attrgetter, getitem
 from sys import byteorder
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .bounds import MAX_MASK_BITS, MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, follows_plan
@@ -69,19 +63,21 @@ def gaussian_binomial(n: int, d: int, q: int) -> int:
     return r
 
 
-def enumerate_subspaces(f: FieldDescriptor, n: int, d: int) -> list[Subspace]:
+def enumerate_subspaces(f: FieldDescriptor, n: int, d: int
+                        ) -> tuple[Subspace, ...]:
     """All d-dimensional subspaces of F^n, each exactly once, by direct
     enumeration of RREF matrices: pivot columns in lexicographic order,
     then the free entries in product order, row by row (the first row
     slowest).  In RREF a row's free entries are its own, so each row's
     q^(free cells) possible rows are built once per pivot tuple and the
-    candidates are their product."""
+    candidates are their product.  All of them are built in one call of
+    ``Subspace.bulk``."""
     count = gaussian_binomial(n, d, f.q)
     if count > MAX_SUBSPACES:
         raise ValueError(
             f"{count} subspaces exceed the search bound {MAX_SUBSPACES}"
         )
-    out = []
+    bases, pivot_tuples = [], []
     for pivots in combinations(range(n), d):
         rows = []
         for p in pivots:
@@ -94,8 +90,9 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int) -> list[Subspace]:
                     row[c] = v
                 choices.append(tuple(row))
             rows.append(choices)
-        out += map(Subspace, repeat(f), repeat(n), product(*rows),
-                   repeat(pivots))
+        bases += product(*rows)
+        pivot_tuples += repeat(pivots, len(bases) - len(pivot_tuples))
+    out = Subspace.bulk(f, n, bases, pivot_tuples)
     if len(out) != count:
         raise AssertionError("subspace enumeration count mismatch")
     return out
@@ -251,7 +248,7 @@ def _index_weights(q: int, n: int) -> tuple[list[int], list[int]]:
 COVERING_BATCH = 1 << 20
 
 
-def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
+def _point_masks(f: FieldDescriptor, n: int, cands: Sequence[Subspace]
                  ) -> tuple[list[int], list[array]]:
     """The bitmask of the projective points in each positive-dimensional
     candidate, and the candidates through each point in increasing order,
@@ -262,11 +259,12 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
     once each, already scaled, by the projective points c of F^d.  A
     point's coordinate col is then <c, u_col>, u_col the basis column, and
     by ``_index_weights`` its index is linear in its coordinates.  The
-    values <c, u> over the projective c are taken from one
+    values <c, u> over the projective c, and no others, come from one
     ``linalg.span_tuples`` call per distinct column u, the span of u's
-    entries as one-entry rows, held as the fixed-width lanes of one int,
-    and scaled by the column's weight once per column index, so a
-    candidate's point indices cost one sum of packed ints, one per column.
+    entries after the first as one-entry rows (``table``), held as the
+    fixed-width lanes of one int and scaled by the column's weight once
+    per column index, so a candidate's point indices cost one sum of
+    packed ints, one per column.
     The packing is plain integer arithmetic: a lane holding a negative
     shift borrows from the next until the pivot columns are added, and the
     lane width is chosen from the point count, so every finished lane
@@ -282,12 +280,16 @@ def _point_masks(f: FieldDescriptor, n: int, cands: list[Subspace]
     tables: dict[Row, int] = {}
 
     def table(u: Row) -> int:
-        # <c, u> for every c of F^d in product order, d = len(u); the
-        # projective c with leading index i sit at [q^j, 2 q^j), j = d-1-i
+        # <c, u> for the projective c of F^d, d = len(u), by leading index
+        # i: u_i plus <c', u[i+1:]> for every c' in product order.  For i
+        # = 0 that is u_0 plus each value of the span of u[1:]; for i > 0
+        # it is that span's own slice [q^j, 2 q^j), j = d-1-i.
         if u not in tables:
-            dots = list(chain.from_iterable(span_tuples(f, list(zip(u)), 1)))
-            lanes = array(code, chain.from_iterable(
-                dots[q**j:2 * q**j] for j in reversed(range(len(u)))))
+            rest = list(chain.from_iterable(span_tuples(f, list(zip(u[1:])),
+                                                        1)))
+            lanes = array(code, map(f.add, repeat(u[0]), rest))
+            lanes.extend(chain.from_iterable(
+                rest[q**j:2 * q**j] for j in reversed(range(len(u) - 1))))
             tables[u] = int.from_bytes(lanes.tobytes(), byteorder)
         return tables[u]
 

@@ -241,12 +241,17 @@ def follows_kind(p: Partition) -> bool:
 
 
 def partition_to_json(p: Partition) -> dict:
+    return partition_head_to_json(p) | {
+        "parts": subspaces_to_json(p.parts, p.field)}
+
+
+def partition_head_to_json(p: Partition) -> dict:
+    """``partition_to_json(p)`` without its family, ``"parts"``."""
     return {
         "kind": p.kind,
         "ambient": {"field": field_to_json(p.field), "n": p.n},
         "d": p.d,
         "literature_range": p.literature_range,
-        "parts": subspaces_to_json(p.parts, p.field),
     }
 
 

@@ -21,11 +21,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcover import cli, gf, linalg, oracle
-from subcover.covers import cover_finite, cover_from_json, cover_to_json
+from subcover.covers import (
+    Cover,
+    PlanStep,
+    Provenance,
+    cover_finite,
+    cover_from_json,
+    cover_head_to_json,
+    cover_to_json,
+)
 from subcover.linalg import span_tuples
 from subcover.partitions import (
+    Partition,
     mixed_partition,
     partition_from_json,
+    partition_head_to_json,
     partition_to_json,
     spread_partition,
 )
@@ -273,24 +283,78 @@ def compact(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def dumped(capsys, monkeypatch, *argv):
-    """Run a command; the documents it passed to ``cli._dump``, each with
+def encoded(capsys, monkeypatch, *argv):
+    """Run a command; the documents it passed to ``cli._encode``, each with
     the text written for it, and stdout."""
-    calls, dump = [], cli._dump
+    calls, encode = [], cli._encode
 
     def recorded(doc):
-        calls.append((doc, dump(doc)))
+        calls.append((doc, encode(doc)))
         return calls[-1][1]
 
-    monkeypatch.setattr(cli, "_dump", recorded)
+    monkeypatch.setattr(cli, "_encode", recorded)
     code, out, _ = run(capsys, *argv)
     assert code in (0, 2)
     return calls, out
 
 
+class Writes(io.StringIO):
+    """A stdout that keeps the length of each text written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def written(built, report=None):
+    """What ``cli._print_built`` writes for the cover or partition
+    ``built`` and the report, its exit code and its write sizes."""
+    if isinstance(built, Partition):
+        doc, key = partition_head_to_json(built), "parts"
+    else:
+        doc, key = cover_head_to_json(built), "subspaces"
+    with contextlib.redirect_stdout(Writes()) as out:
+        code = cli._print_built(built, doc, key, report)
+    return out.getvalue(), code, out.sizes
+
+
+def expected(built, report=None) -> str:
+    """``built``'s document, with the report, as json.dumps writes it."""
+    doc = (partition_to_json(built) if isinstance(built, Partition)
+           else cover_to_json(built))
+    if report is not None:
+        doc |= {"verification": report.to_json()}
+    return compact(doc) + "\n"
+
+
+# FAMILY_CHUNK values the writer is run with, the default first
+CHUNKS = (cli.FAMILY_CHUNK, 1, 2, 3, 5)
+
+
+def chunked(monkeypatch, built, report=None):
+    """``written(built, report)`` at every chunk size of CHUNKS; each must
+    write the family in one text per chunk, between the text before it
+    and the text after it."""
+    family = getattr(built, "parts", getattr(built, "subspaces", None))
+    outs = set()
+    for chunk in CHUNKS:
+        monkeypatch.setattr(cli, "FAMILY_CHUNK", chunk)
+        out, code, sizes = written(built, report)
+        assert len(sizes) == 2 + -(-len(family) // chunk)
+        outs.add((out, code))
+    [result] = outs
+    return result
+
+
 class TestDump:
-    """``cli._dump`` writes ``json.dumps(doc, sort_keys=True,
-    separators=(",", ":"))``, families of subspace documents included."""
+    """``cover`` and ``partition`` write their object's document, with its
+    report, as ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+    through ``cli._print_built``, the family chunk by chunk; every other
+    document is printed as ``cli._encode(doc)``."""
 
     # every construction path (spread, mixed, peel plus tail), multi-row
     # parts, --verify reports, and GF(2), GF(3), GF(4), GF(9), GF(2^8),
@@ -311,25 +375,32 @@ class TestDump:
         "cover --p 3 --n 3 --k 2",
     ])
     def test_construction_documents(self, capsys, monkeypatch, command):
-        calls, out = dumped(capsys, monkeypatch, *command.split())
-        [(doc, text)] = calls
-        assert out == text + "\n" and text == compact(doc)
-        family = doc["parts" if "parts" in doc else "subspaces"]
-        assert cli._family(family) is not None
-        assert ("verification" in doc) == command.endswith("--verify")
+        args = cli.build_parser().parse_args(command.split())
+        f = gf.field_new(args.p, args.m or 1)
+        if args.command == "cover":
+            built, verify = cover_finite(f, args.n, args.k), oracle.verify_cover
+        else:
+            build = spread_partition if args.kind == "spread" else (
+                mixed_partition)
+            built, verify = build(f, args.n, args.d), oracle.verify_partition
+        report = verify(built) if args.verify else None
+        want = expected(built, report)
+        assert chunked(monkeypatch, built, report) == (want, 0)
+        for chunk in CHUNKS:
+            monkeypatch.setattr(cli, "FAMILY_CHUNK", chunk)
+            assert run(capsys, *command.split())[:2] == (0, want)
+        assert ('"verification":' in want) == command.endswith("--verify")
 
-    def test_entries_of_four_digits(self):
+    def test_entries_of_four_digits(self, monkeypatch):
         # a family over GF(1021) of one to three rows
         f, rng = gf.field_new(1021, 1), random.Random(7)
         family = [linalg.subspace_from_generators(
             f, 4, [[rng.randrange(1021) for _ in range(4)]
                    for _ in range(1 + i % 3)]) for i in range(12)]
-        doc = {"count": len(family),
-               "subspaces": linalg.subspaces_to_json(family, f)}
-        assert {len(s["basis"]) for s in doc["subspaces"]} == {1, 2, 3}
+        part = Partition(f, 4, 1, "mixed", tuple(family), False)
+        assert {s.dim for s in family} == {1, 2, 3}
         assert max(e for s in family for r in s.basis for e in r) > 999
-        assert cli._family(doc["subspaces"]) is not None
-        assert cli._dump(doc) == compact(doc)
+        assert chunked(monkeypatch, part) == (expected(part), 0)
 
     @pytest.mark.parametrize("seed,command", [
         (1, "partition --p 2 --n 10 --d 1 --kind spread"),
@@ -338,48 +409,57 @@ class TestDump:
     ])
     def test_broken_family_reports(self, capsys, monkeypatch, tmp_path, seed,
                                    command):
-        _, _, report, out = broken_family_report(capsys, tmp_path, seed,
-                                                 command)
+        doc, key, report, out = broken_family_report(capsys, tmp_path, seed,
+                                                     command)
         assert report["uncovered"]
         assert out == compact(report) + "\n"
-        # the family as json.load gives it: equal field documents, each its
-        # own object, so not the family path
-        doc = json.loads(run(capsys, *command.split())[1])
-        key = "parts" if "parts" in doc else "subspaces"
-        assert cli._family(doc[key]) is None
-        doc["verification"] = report
-        assert cli._dump(doc) == compact(doc)
+        # the broken family, read back, written with its report
+        if key == "parts":
+            built = partition_from_json(doc)
+            verified = oracle.verify_partition(built)
+        else:
+            built = cover_from_json(doc)
+            verified = oracle.verify_cover(built)
+        assert verified.to_json() == report
+        assert chunked(monkeypatch, built, verified) == (
+            expected(built, verified), 2)
 
-    def test_verified_broken_family(self):
-        # a cover --verify document with a member dropped and a partition
-        # document with a member doubled: non-empty violation lists next to
-        # a family
+    def test_verified_broken_family(self, monkeypatch):
+        # a cover with a member dropped and a partition with a member
+        # doubled: non-empty violation lists next to a family
         cover = cover_finite(gf.field_new(3, 1), 3, 1)
         broken = replace(cover, subspaces=cover.subspaces[1:])
-        doc = cover_to_json(broken)
-        doc["verification"] = oracle.verify_cover(broken).to_json()
-        assert doc["verification"]["uncovered"]
+        report = oracle.verify_cover(broken)
+        assert report.uncovered
         part = spread_partition(gf.field_new(2, 2), 3, 1)
         doubled = replace(part, parts=part.parts[1:] + part.parts[2:3])
-        pdoc = partition_to_json(doubled)
-        pdoc["verification"] = oracle.verify_partition(doubled).to_json()
-        assert pdoc["verification"]["double_covered"]
-        for d in doc, pdoc:
-            assert cli._family(d.get("parts", d.get("subspaces"))) is not None
-            assert cli._dump(d) == compact(d)
+        preport = oracle.verify_partition(doubled)
+        assert preport.double_covered
+        for built, rep in (broken, report), (doubled, preport):
+            doc = (cover_to_json if built is broken else partition_to_json)(
+                built) | {"verification": rep.to_json()}
+            assert chunked(monkeypatch, built, rep) == (compact(doc) + "\n",
+                                                       2)
 
-    def test_empty_and_zero_dimensional_members(self):
+    def test_empty_and_zero_dimensional_members(self, monkeypatch):
         part = spread_partition(gf.field_new(2, 1), 4, 2)
-        empty = partition_to_json(replace(part, parts=()))
-        empty["verification"] = oracle.verify_partition(
-            replace(part, parts=())).to_json()
+        empty = replace(part, parts=())
+        report = oracle.verify_partition(empty)
+        out, code = chunked(monkeypatch, empty, report)
+        assert (out, code) == (expected(empty, report), 2)
+        assert '"parts":[]' in out
+        # a part with no rows, alone or at any place in a family, in a
+        # chunk of its own or with others, is refused
         zero = linalg.zero_subspace(part.field, 4)
-        with_zero = partition_to_json(replace(part, parts=part.parts + (zero,)))
-        only_zero = partition_to_json(replace(part, parts=(zero,)))
-        for doc in empty, with_zero, only_zero:
-            assert cli._family(doc["parts"]) is None
-            assert cli._dump(doc) == compact(doc)
-        assert '"parts":[]' in cli._dump(empty)
+        for at in range(len(part.parts) + 1):
+            with_zero = replace(part, parts=part.parts[:at] + (zero,)
+                                + part.parts[at:])
+            for chunk in CHUNKS:
+                monkeypatch.setattr(cli, "FAMILY_CHUNK", chunk)
+                with pytest.raises(AssertionError, match="no rows"):
+                    written(with_zero)
+        with pytest.raises(AssertionError, match="no rows"):
+            written(replace(part, parts=(zero,)))
 
     @pytest.mark.parametrize("argv", [
         "nu --p 2 --infinite-dim --k 2",
@@ -389,59 +469,49 @@ class TestDump:
         "assign --k 2 --vector 0,5,7,1,2",
     ])
     def test_symbolic_documents(self, capsys, monkeypatch, argv):
-        calls, out = dumped(capsys, monkeypatch, *argv.split())
+        calls, out = encoded(capsys, monkeypatch, *argv.split())
         [(doc, text)] = calls
         assert text == compact(doc)
         assert out == compact(json.loads(out)) + "\n"
 
-    def test_lists_that_are_not_families(self):
-        fd = gf.field_to_json(gf.field_new(2, 1))
 
-        def part(basis, n=2, field=fd, **extra):
-            return {"basis": basis, "field": field, "n": n, **extra}
-
-        cases = [
-            [part([[1, 0]]), part([[0, 1]], n=3)],
-            [part([[1, 0]]), part([[0, 1]], n=True)],
-            [part([[1, 0]], n=2.0)],
-            [part([[1, 0]]), part([[0, 1]], field=dict(fd))],
-            [part([[1, 0]]), part([[0, 1]], kind="x")],
-            [part([[1, 0]]), {"basis": [[0, 1]], "field": fd, "m": 2}],
-            [part([[1, 0]]), [[0, 1]]],
-            [part([[1, 0]]), part([(0, 1)])],
-            [part([[1, 0]]), part((([0, 1]),))],
-            [part([[1, 0]]), part([1, 0])],
-            [part([[1, 0]]), part([[["]],[[", 1]], [[0, 1]]])],
-            [part([["]],[[", "]],[["]]), part([[0, 1]])],
-            [part([[1, {"b": [[1]], "a": [[2]]}]]), part([[0, 1]])],
-        ]
-        for docs in cases:
-            doc = {"parts": docs, "n": 2}
-            assert cli._dump(doc) == compact(doc)
-        assert cli._family(cases[-1]) is not None  # sort_keys reaches rows
-        for docs in cases[:-1]:
-            assert cli._family(docs) is None, docs
-
-    def test_values_that_are_not_dicts_with_str_keys(self):
-        for doc in [[1, 2], "text", 3, None, {}, {2: "a", 1: "b"}, {"b": {
-                "d": 1, "c": [2]}, "a": 1}]:
-            assert cli._dump(doc) == compact(doc)
+# the fields of the random families: GF(2), GF(3), GF(4) with byte sums,
+# and GF(257), GF(1021) with entries of three and four digits
+FAMILY_FIELDS = [gf.field_new(p, m) for p, m in
+                 ((2, 1), (3, 1), (2, 2), (257, 1), (1021, 1))]
 
 
-FAMILY_ENTRIES = st.one_of(
-    st.integers(0, 2000), st.sampled_from(["]],[[", "]", "[", ","]),
-    st.lists(st.integers(0, 3), max_size=2), st.booleans(), st.none())
+@st.composite
+def families(draw):
+    """A partition or a cover of 0 to 6 random parts of 1 to 3 rows, with
+    or without a report of a few random vectors."""
+    f = draw(st.sampled_from(FAMILY_FIELDS))
+    n = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(0, f.q - 1)] * n)
+    parts = [linalg.subspace_from_generators(f, n, gens) for gens in draw(
+        st.lists(st.lists(row, min_size=1, max_size=3), max_size=6))]
+    parts = tuple(s for s in parts if s.dim)
+    if draw(st.booleans()):
+        built = Partition(f, n, 1, draw(st.sampled_from(["spread", "mixed"])),
+                          parts, draw(st.booleans()))
+    else:
+        dim = parts[0].dim if parts else 1
+        built = Cover(f, n, n - dim, tuple(s for s in parts if s.dim == dim),
+                      Provenance("spread", (PlanStep("spread", n, dim, 1),)))
+    report = draw(st.none() | st.builds(
+        oracle.VerificationReport, st.booleans(), st.lists(row, max_size=2),
+        st.lists(row, max_size=2), st.integers(0, f.q**n)))
+    return built, report
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(
-    st.lists(st.lists(FAMILY_ENTRIES, max_size=3), max_size=3),
-    st.sampled_from([3, 3, 3, 4, True])), max_size=5))
-def test_dump_of_any_family_is_json_dumps(members):
-    fd = gf.field_to_json(gf.field_new(3, 1))
-    doc = {"parts": [{"basis": b, "field": fd, "n": n} for b, n in members],
-           "d": 1}
-    assert cli._dump(doc) == compact(doc)
+@given(families(), st.sampled_from(CHUNKS))
+def test_dump_of_any_family_is_json_dumps(family, chunk):
+    built, report = family
+    with mock.patch.object(cli, "FAMILY_CHUNK", chunk):
+        out, code, _ = written(built, report)
+    assert out == expected(built, report)
+    assert code == (2 if report is not None and not report.ok else 0)
 
 
 class TestVerifyCommand:

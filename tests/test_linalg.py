@@ -683,6 +683,28 @@ def test_one_row_parts_are_spanned_without_elimination(monkeypatch, f, n):
         _ref_from_generators(f, n, rows) for rows in gens]
 
 
+@pytest.mark.parametrize("f,n", [(F2, 6), (F3, 4), (F4, 3),
+                                 (field_new(257, 1), 2)])
+def test_lines_share_their_pivot_tuples(f, n):
+    # a family of lines holds the n distinct pivot tuples once each, and
+    # its lines equal those the dataclass builds one at a time
+    lines = partitions.spread_partition(f, n, 1).parts
+    assert len({id(s.pivots) for s in lines}) == n
+    assert lines == tuple(linalg.Subspace(f, n, s.basis, s.pivots)
+                          for s in lines)
+    assert len(set(lines)) == len(lines) == (f.q**n - 1) // (f.q - 1)
+
+
+def test_bulk_subspaces_equal_the_dataclass_ones():
+    bases = [((1, 0, 2),), ((0, 1, 0), (0, 0, 1)), ()]
+    pivots = [(0,), (1, 2), ()]
+    built = linalg.Subspace.bulk(F3, 3, iter(bases), iter(pivots))
+    assert built == tuple(map(linalg.Subspace, [F3] * 3, [3] * 3, bases,
+                              pivots))
+    assert [hash(s) for s in built] == [
+        hash(linalg.Subspace(F3, 3, b, p)) for b, p in zip(bases, pivots)]
+
+
 class TestMatrixInverse:
     def test_round_trip(self):
         rng = random.Random(31)
@@ -799,9 +821,10 @@ class TestJson:
         doc = {
             "field": {"p": 2, "m": 1, "modulus": [0, 1]},
             "n": 3,
-            "basis": [[1, 1, 0], [1, 0, 1]],  # pivot column not cleared
+            # pivots 0 and 1, and the first row is 1 in column 1
+            "basis": [[1, 1, 0], [0, 1, 1]],
         }
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pivot column not cleared"):
             subspace_from_json(doc)
 
     def test_rejects_zero_row_and_bad_pivot(self):

@@ -326,6 +326,53 @@ def test_point_mask_matches_membership(f, n, d):
     assert {len(c) for c in covering} == {gaussian_binomial(n - 1, d - 1, f.q)}
 
 
+def test_point_masks_of_gf1021_lines():
+    # each line of GF(1021)^2 is one point: its own normalised row
+    f = field_new(1021, 1)
+    subs = enumerate_subspaces(f, 2, 1)
+    index = {pt: i for i, pt in enumerate(projective_points(f, 2))}
+    masks, covering = _point_masks(f, 2, subs)
+    want = [index[s.basis[0]] for s in subs]
+    assert masks == [1 << i for i in want]
+    assert list(map(list, covering)) == [[want.index(j)] for j in range(1022)]
+
+
+@pytest.mark.parametrize("f,n,d", [
+    (F2, 5, 3), (F3, 4, 2), (field_new(2, 2), 3, 2), (field_new(257, 1), 2, 1),
+    (field_new(1021, 1), 2, 1), (field_new(131, 1), 3, 2)])
+def test_point_masks_enumerate_only_projective_values(f, n, d, monkeypatch):
+    # a column's table holds (q^d - 1)/(q - 1) values, one per projective
+    # point of F^d; the span enumerator may yield no more than that for
+    # each distinct column, and is called once per distinct column
+    monkeypatch.setenv("SUBCOVER_MAX_Q_POW", str(2**22))
+    yielded = []
+
+    def counted(*args):
+        yielded.append(0)
+        for v in oracle_span_tuples(*args):
+            yielded[-1] += 1
+            yield v
+
+    oracle_span_tuples = oracle.span_tuples
+    monkeypatch.setattr(oracle, "span_tuples", counted)
+    if gaussian_binomial(n, d, f.q) > 2000:
+        rng = random.Random(f.q)
+        subs = [subspace_from_generators(f, n, [
+            tuple(rng.randrange(f.q) for _ in range(n)) for _ in range(d)])
+            for _ in range(40)]
+        subs = [s for s in subs if s.dim == d]
+    else:
+        subs = enumerate_subspaces(f, n, d)
+    masks, _ = _point_masks(f, n, subs)
+    columns = {u for s in subs for u in zip(*s.basis)}
+    assert len(yielded) == len(columns)
+    assert max(yielded) <= (f.q**d - 1) // (f.q - 1)
+    pts = projective_points(f, n)
+    for s, mask in zip(subs[:3], masks):
+        assert mask == sum(1 << i for i, pt in enumerate(pts)
+                           if contains(s, pt))
+
+
 @pytest.mark.parametrize("p,m,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
 def test_point_index_is_position_in_projective_points(p, m, n):
     f = field_new(p, m)
