@@ -474,6 +474,36 @@ class TestDump:
         assert text == compact(doc)
         assert out == compact(json.loads(out)) + "\n"
 
+    def test_lists_that_are_not_families(self):
+        # part lists that no Cover or Partition gives: mixed ambient sizes,
+        # bool and float sizes, unequal or extra keys, bare rows, tuples,
+        # flat bases and strings that look like the family's separators;
+        # they are printed by ``cli._encode``, keys sorted down to the rows
+        fd = gf.field_to_json(gf.field_new(2, 1))
+
+        def part(basis, n=2, field=fd, **extra):
+            return {"basis": basis, "field": field, "n": n, **extra}
+
+        cases = [
+            [part([[1, 0]]), part([[0, 1]], n=3)],
+            [part([[1, 0]]), part([[0, 1]], n=True)],
+            [part([[1, 0]], n=2.0)],
+            [part([[1, 0]]), part([[0, 1]], field=dict(fd))],
+            [part([[1, 0]]), part([[0, 1]], kind="x")],
+            [part([[1, 0]]), {"basis": [[0, 1]], "field": fd, "m": 2}],
+            [part([[1, 0]]), [[0, 1]]],
+            [part([[1, 0]]), part([(0, 1)])],
+            [part([[1, 0]]), part((([0, 1]),))],
+            [part([[1, 0]]), part([1, 0])],
+            [part([[1, 0]]), part([[["]],[[", 1]], [[0, 1]]])],
+            [part([["]],[[", "]],[["]]), part([[0, 1]])],
+            [part([[1, {"b": [[1]], "a": [[2]]}]]), part([[0, 1]])],
+        ]
+        for docs in cases:
+            doc = {"parts": docs, "n": 2}
+            assert cli._encode(doc) == compact(doc)
+        assert '{"a":[[2]],"b":[[1]]}' in cli._encode(cases[-1])
+
 
 # the fields of the random families: GF(2), GF(3), GF(4) with byte sums,
 # and GF(257), GF(1021) with entries of three and four digits
