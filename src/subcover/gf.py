@@ -96,6 +96,15 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def base_digits(e: int, base: int, count: int) -> tuple[int, ...]:
+    """The ``count`` lowest digits of e in base ``base``, lowest first."""
+    out = []
+    for _ in range(count):
+        e, r = divmod(e, base)
+        out.append(r)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FieldDescriptor:
     """A concrete finite field GF(p^m) with its canonical modulus polynomial.
@@ -120,12 +129,7 @@ class FieldDescriptor:
 
     def digits(self, e: int) -> tuple[int, ...]:
         """Base-p digit tuple (constant coefficient first) of an encoding."""
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            e, r = divmod(e, p)
-            out.append(r)
-        return tuple(out)
+        return base_digits(e, self.p, self.m)
 
     # -- log/antilog tables -------------------------------------------------
 

@@ -8,9 +8,10 @@ comparison and lets subspaces be deduplicated through hashing.
 Encodings are checked where they enter: the public entry points (``rref``,
 ``subspace_from_generators``, ``kernel``, ``subspace_from_rref``,
 ``contains``, ``project`` and the JSON readers) check every entry of each
-input once.  A construction that builds a family of subspaces checks all
-of its generator rows in one call of ``_spans``, and no part is checked
-again.
+input once.  ``contains`` and ``project`` read one reduction of the vector
+against a basis, ``_reduce``.  A construction that builds a family of
+subspaces checks all of its generator rows in one call of ``_spans``, and
+no part is checked again.
 
 Each part shape has one path.  Lines, the most numerous parts the
 constructions make, are built in bulk by ``_lines`` wherever they occur:
@@ -245,8 +246,9 @@ def full_subspace(f: FieldDescriptor, n: int) -> Subspace:
     return Subspace(f, n, rows, tuple(range(n)))
 
 
-def contains(s: Subspace, v: Sequence[int]) -> bool:
-    """Membership test: v reduced against the canonical basis is zero."""
+def _reduce(s: Subspace, v: Sequence[int]) -> list[int]:
+    """v reduced against the canonical basis of s, row by row; a v of the
+    wrong length or with bad encodings raises ValueError."""
     if len(v) != s.n:
         raise ValueError("dimension mismatch")
     _check_encodings(s.field.q, (tuple(v),), "vector")
@@ -258,7 +260,12 @@ def contains(s: Subspace, v: Sequence[int]) -> bool:
             for j in range(pc, s.n):
                 if row[j]:
                     v[j] = sub(v[j], mul(c, row[j]))
-    return not any(v)
+    return v
+
+
+def contains(s: Subspace, v: Sequence[int]) -> bool:
+    """Membership test: v reduced against the canonical basis is zero."""
+    return not any(_reduce(s, v))
 
 
 def kernel(f: FieldDescriptor, rows: Sequence[Row], n: int) -> Subspace:
@@ -338,20 +345,9 @@ def quotient(v0: Subspace) -> LinearQuotient:
 
 
 def project(q: LinearQuotient, v: Sequence[int]) -> Row:
-    """Image of v in the quotient coordinates F^t."""
-    if len(v) != q.ambient_dim:
-        raise ValueError("dimension mismatch")
-    f = q.field
-    _check_encodings(f.q, (tuple(v),), "vector")
-    add, mul = f.add, f.mul
-    out = []
-    for row in q.coordinate_map:
-        acc = 0
-        for a, b in zip(row, v):
-            if a and b:
-                acc = add(acc, mul(a, b))
-        out.append(acc)
-    return tuple(out)
+    """Image of v in the quotient coordinates F^t: the shared reduction
+    against the kernel's basis, read at ``coords``."""
+    return tuple(map(_reduce(q.kernel, v).__getitem__, q.coords))
 
 
 def lift(q: LinearQuotient, s_bar: Subspace) -> Subspace:

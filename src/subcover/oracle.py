@@ -21,15 +21,17 @@ it translates a row's ``bytes`` by the field's ``muls`` tables (see
 ``byte_tables``) and, where a byte holds the sum of two entries, adds
 whole vectors in big ints (see ``linalg._vector_sums``); other fields, all
 with q >= 81, call ``add`` and ``mul`` once per entry.  The verifier packs
-the vectors into ``bytes`` and indexes them as lanes of one int, and the
-search builds its point-index tables from the enumerator and ``add``;
-neither calls field arithmetic per vector or candidate.  The constructions
-call neither the enumerator nor the search, but read the same tables:
-their subfields come off the log/antilog tables, and where q <= 256
-``linalg._lines`` scales each constructed line whose lead is not 1 by the
-``muls`` translate that ``span_tuples`` reads, so one wrong ``muls`` entry
-can shape both a line and the vectors that check it (a document's lines
-are read as written, led by 1).  The counting bound is computed here, not
+the vectors into ``bytes`` and indexes them in one lane level: each
+coordinate's entries, widened into the lanes of one int, are added with
+weight q**i (``_index_chunks``).  The search builds its point-index tables
+from the enumerator and ``add``; neither calls field arithmetic per vector
+or candidate.  The constructions call neither the enumerator nor the
+search, but read the same tables: their subfields come off the
+log/antilog tables, and where q <= 256 ``linalg._lines`` scales each
+constructed line whose lead is not 1 by the ``muls`` translate that
+``span_tuples`` reads, so one wrong ``muls`` entry can shape both a line
+and the vectors that check it (a document's lines are read as written,
+led by 1).  The counting bound is computed here, not
 taken from the constructions' closed form; only ``covers.follows_plan``
 reads ``cover_plan``, and only ``partitions.follows_kind`` reads the
 constructions' part counts.
@@ -48,7 +50,7 @@ from typing import Iterator, Sequence
 
 from .bounds import MAX_MASK_BITS, MAX_SUBSPACES, check_enumeration_size
 from .covers import Cover, follows_plan
-from .gf import FieldDescriptor
+from .gf import FieldDescriptor, base_digits
 from .linalg import Row, Subspace, span_tuples
 from .partitions import Partition, follows_kind
 
@@ -119,20 +121,12 @@ class VerificationReport:
         }
 
 
-def _index_vector(idx: int, q: int, n: int) -> Row:
-    out = []
-    for _ in range(n):
-        idx, r = divmod(idx, q)
-        out.append(r)
-    return tuple(out)
-
-
 def _typecode(top: int) -> str:
     """The smallest ``array`` typecode whose items hold 0..top."""
     return next(c for c in "BHIQ" if 8 * array(c).itemsize >= top.bit_length())
 
 
-# The most vectors ``_hit_counts`` packs and indexes at once.
+# The most vectors ``_violations`` packs and indexes at once.
 INDEX_CHUNK = 1024
 
 
@@ -142,44 +136,39 @@ def _index_chunks(f: FieldDescriptor, n: int, members,
     chunk as an ``array``.  The members' spans are read as one stream, at
     most INDEX_CHUNK vectors a chunk, and a chunk's entries are packed in
     order, w bytes each (w = 1 while q <= 256), so coordinate i is every
-    n-th entry.  The coordinates are weighted and added as fixed-width
-    lanes of one int: ``per`` of them at a time in w-byte lanes, each lane
-    then below 256**w, and those sums, widened to lanes that hold
-    size - 1, added again.  No lane ever carries into the next."""
+    n-th entry.  Each coordinate's entries are widened into fixed-width
+    lanes that hold size - 1, read as one int, weighted by q**i and added
+    to the chunk's sum; no lane ever carries into the next."""
     q = f.q
     entry, lane = _typecode(q - 1), _typecode(size - 1)
     width, lane_bytes = array(entry).itemsize, array(lane).itemsize
-    per = 1  # coordinates whose weighted sum a w-byte lane holds
-    while q**(per + 1) <= 256**width:
-        per += 1
-    # where a w-byte lane's low byte sits in a wide lane, in native order
+    stride = n * width  # the bytes of one packed vector
+    # where an entry's low byte sits in its lane, in native order
     low = 0 if byteorder == "little" else lane_bytes - width
     vecs = chain.from_iterable(map(span_tuples, repeat(f), map(
         attrgetter("basis"), members), repeat(n)))
+    # a chunk's entries as bytes, w to an entry in native order
     pack = bytearray if width == 1 else partial(array, entry)
-    while packed := pack(chain.from_iterable(islice(vecs, INDEX_CHUNK))):
-        vectors = len(packed) // n
-        lanes = bytearray(vectors * lane_bytes)
+    while packed := bytearray(pack(chain.from_iterable(
+            islice(vecs, INDEX_CHUNK)))):
+        lanes = bytearray(len(packed) // stride * lane_bytes)
         total = 0
-        for start in range(0, n, per):
-            part = sum(int.from_bytes(packed[i::n], byteorder) * q**(i - start)
-                       for i in range(start, min(n, start + per)))
-            part = part.to_bytes(vectors * width, byteorder)
+        for i in range(n):
             for j in range(width):
-                lanes[low + j::lane_bytes] = part[j::width]
-            total += int.from_bytes(lanes, byteorder) * q**start
+                lanes[low + j::lane_bytes] = packed[i * width + j::stride]
+            total += int.from_bytes(lanes, byteorder) * q**i
         yield array(lane, total.to_bytes(len(lanes), byteorder))
 
 
-def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
-                exact: bool) -> bytearray:
-    """Hits per vector index over every vector of every member subspace:
-    1 for a hit vector, and when ``exact`` 2 for one that two or more
-    members hold (hits[0], the zero vector, is not read).  Each index of
-    ``_index_chunks`` is marked at C speed.  Some nonzero vector lies in
-    two members iff the members' nonzero vectors, the sum of q**dim - 1,
-    outnumber the marked nonzero indices; only then, and only when
-    ``exact``, are the hits counted again, one vector at a time."""
+def _violations(f: FieldDescriptor, n: int, members, what: str,
+                exact: bool) -> tuple[tuple[Row, ...], ...]:
+    """The nonzero vectors no member holds and, when ``exact``, those more
+    than one member holds, in increasing order.  Each index of
+    ``_index_chunks`` marks a hit at C speed (hits[0], the zero vector, is
+    not read).  Some nonzero vector lies in two members iff the members'
+    nonzero vectors, the sum of q**dim - 1, outnumber the marked nonzero
+    indices; only then, and only when ``exact``, are the hits counted
+    again, one vector at a time, saturating at 2."""
     q = f.q
     task = f"verifying a {what} of GF({q})^{n}"
     size = check_enumeration_size(q, n, task)
@@ -188,25 +177,17 @@ def _hit_counts(f: FieldDescriptor, n: int, members, what: str,
     except (MemoryError, OverflowError) as exc:  # a raised size guard
         raise ValueError(f"{task} cannot allocate {size} bytes") from exc
     deque(map(hits.__setitem__, chain.from_iterable(
-        _index_chunks(f, n, members, len(hits))), repeat(1)), maxlen=0)
+        _index_chunks(f, n, members, size)), repeat(1)), maxlen=0)
     if exact and sum(q**s.dim - 1 for s in members) > hits.count(1, 1):
-        hits[:] = bytes(len(hits))
-        for i in chain.from_iterable(_index_chunks(f, n, members, len(hits))):
+        hits[:] = bytes(size)
+        for i in chain.from_iterable(_index_chunks(f, n, members, size)):
             if hits[i] < 2:
                 hits[i] += 1
-    return hits
-
-
-def _violations(f: FieldDescriptor, n: int, members, what: str,
-                exact: bool) -> tuple[tuple[Row, ...], ...]:
-    """The nonzero vectors no member holds and, when ``exact``, those more
-    than one member holds (hits saturate at 2), in increasing order."""
-    hits = _hit_counts(f, n, members, what, exact)
 
     def where(count: int):
         i = hits.find(count, 1)
         while i >= 0:
-            yield _index_vector(i, f.q, n)
+            yield base_digits(i, q, n)
             i = hits.find(count, i + 1)
 
     return tuple(where(0)), tuple(where(2)) if exact else ()

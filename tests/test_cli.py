@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subcover import cli, gf, linalg, oracle
+from subcover import cli, covers, gf, linalg, oracle
 from subcover.covers import (
     Cover,
     PlanStep,
@@ -954,6 +954,15 @@ class TestSizeGuards:
         assert err == ("error: SUBCOVER_MAX_Q_POW must be at least 2, "
                        f"got {guard}\n")
 
+    @pytest.mark.parametrize("guard", ["abc", "2.5"])
+    def test_guard_not_an_integer_rejected(self, capsys, monkeypatch, guard):
+        monkeypatch.setenv("SUBCOVER_MAX_Q_POW", guard)
+        code, out, err = run(capsys, "cover", "--p", "2", "--n", "3",
+                             "--k", "1")
+        assert code == 1 and out == ""
+        assert err == ("error: SUBCOVER_MAX_Q_POW must be an integer, "
+                       f"got {guard!r}\n")
+
     @pytest.mark.parametrize("guard,n", [(2**62, 61), (2**70, 65)])
     def test_raised_guard_past_what_memory_holds(self, capsys, monkeypatch,
                                                  guard, n):
@@ -1254,6 +1263,22 @@ class TestAssignCommand:
         code, out, err = run(capsys, "assign", "--k", k, "--vector", "1,2")
         assert code == 1 and out == ""
         assert err.startswith(f"error: k={k} needs")
+
+    def test_witness_that_fails_to_validate(self, capsys, monkeypatch):
+        # a witness whose coefficient is off by one does not account for
+        # the vector's designated entries
+        assign = covers.projective_assign
+
+        def off_by_one(vector, positions):
+            index, witness = assign(vector, positions)
+            return index, replace(witness,
+                                  coefficient=witness.coefficient + 1)
+
+        monkeypatch.setattr(covers, "projective_assign", off_by_one)
+        code, out, err = run(capsys, "assign", "--k", "1", "--vector",
+                             "1,2,3")
+        assert code == 2 and out == ""
+        assert err == "membership witness failed to validate\n"
 
 
 class TestCountableCommand:

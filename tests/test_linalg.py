@@ -322,6 +322,23 @@ class TestQuotientProjectLift:
             project(q, v)
         assert str(exc.value) == message
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([F2, F3, F4, field_new(3, 2), field_new(257, 1)]),
+           st.integers(1, 5), st.data())
+    def test_project_is_the_coordinate_map_product(self, f, n, data):
+        entries = st.lists(st.integers(0, f.q - 1), min_size=n, max_size=n)
+        # at most n - 1 generators span a proper kernel
+        gens = data.draw(st.lists(entries, max_size=n - 1))
+        v = data.draw(entries)
+        q = quotient(subspace_from_generators(f, n, gens))
+        want = []
+        for row in q.coordinate_map:
+            acc = 0
+            for a, b in zip(row, v, strict=True):
+                acc = f.add(acc, f.mul(a, b))
+            want.append(acc)
+        assert project(q, v) == tuple(want)
+
     def test_full_kernel_rejected(self):
         with pytest.raises(ValueError):
             quotient(full_subspace(F2, 3))

@@ -3,7 +3,8 @@ exact minimality search."""
 
 import random
 from dataclasses import replace
-from itertools import combinations, product
+from functools import cache
+from itertools import chain, combinations, product
 from operator import mul
 
 import pytest
@@ -20,6 +21,7 @@ from subcover.covers import (
 from subcover.gf import field_new
 from subcover.linalg import (
     contains,
+    span_tuples,
     subspace_from_generators,
     zero_subspace,
 )
@@ -211,6 +213,73 @@ class TestVerify:
         assert set(doc) == {"ok", "uncovered", "double_covered", "checked"}
         assert doc["ok"] is True and doc["checked"] == 3
 
+    @pytest.mark.parametrize("p,n,d,uncovered,doubled", [
+        (3, 2, 1, ((2, 1), (1, 2)), ((1, 0), (2, 0))),
+        (2, 4, 2, ((0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1)),
+         ((1, 0, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1))),
+    ])
+    def test_doubled_part_is_recounted(self, monkeypatch, p, n, d, uncovered,
+                                       doubled):
+        # the last part replaced by a copy of the first: the parts still
+        # hold q^n - 1 nonzero vectors, but fewer are marked, so the hits
+        # are counted a second time to list the doubly covered ones
+        spread = spread_partition(field_new(p, 1), n, d)
+        passes = []
+        index_chunks = oracle._index_chunks
+
+        def record(*args):
+            passes.append(args)
+            return index_chunks(*args)
+
+        monkeypatch.setattr(oracle, "_index_chunks", record)
+        report = verify_partition(
+            replace(spread, parts=spread.parts[:-1] + spread.parts[:1]))
+        assert len(passes) == 2
+        assert report.uncovered == uncovered
+        assert report.double_covered == doubled
+        assert not report.ok and report.checked == p**n - 1
+
+
+def index_chunk_families():
+    """(field, n, members, lane bytes): lanes of one, two and four bytes,
+    and entries of one and two bytes (GF(257), GF(1021))."""
+    rng = random.Random(31)
+    f4, f9 = field_new(2, 2), field_new(3, 2)
+    yield F2, 5, cover_finite(F2, 5, 2).subspaces, 1
+    yield F3, 4, spread_partition(F3, 4, 2).parts, 1
+    yield f4, 3, mixed_partition(f4, 3, 1).parts, 1
+    yield F2, 10, cover_finite(F2, 10, 7).subspaces, 2
+    yield f9, 3, cover_finite(f9, 3, 1).subspaces, 2
+    for p in (257, 1021):
+        f = field_new(p, 1)
+        yield f, 2, spread_partition(f, 2, 1).parts[:40], 4
+    yield F2, 17, tuple(subspace_from_generators(F2, 17, [
+        [rng.randrange(2) for _ in range(17)] for _ in range(dim)])
+        for dim in (1, 3, 5, 6)), 4
+
+
+@pytest.mark.parametrize("f,n,members,lane_bytes", index_chunk_families())
+def test_index_chunks_are_the_weighted_sums(monkeypatch, f, n, members,
+                                            lane_bytes):
+    # chunks of 7 vectors split inside members of q^dim vectors
+    monkeypatch.setattr(oracle, "INDEX_CHUNK", 7)
+    chunks = list(oracle._index_chunks(f, n, members, f.q**n))
+    want = [sum(v_i * f.q**i for i, v_i in enumerate(v))
+            for s in members for v in span_tuples(f, s.basis, n)]
+    assert [len(c) for c in chunks[:-1]] == [7] * (len(chunks) - 1)
+    assert list(chain.from_iterable(chunks)) == want
+    assert {c.itemsize for c in chunks} == {lane_bytes}
+
+
+@cache
+def reference_indices(s):
+    """The index of every nonzero linear combination of the member's basis
+    (the first entry fastest), built once per member for the module."""
+    weights = [s.field.q**j for j in range(s.n)]
+    return tuple(sum(map(mul, linear_combination(s.field, c, s.basis),
+                         weights))
+                 for c in product(range(s.field.q), repeat=s.dim) if any(c))
+
 
 def reference_violations(f, n, members):
     """The uncovered and the doubly covered nonzero vectors, by a saturating
@@ -220,10 +289,8 @@ def reference_violations(f, n, members):
     weights = [q**j for j in range(n)]
     hits = [0] * q**n
     for s in members:
-        for c in product(range(q), repeat=s.dim):
-            if any(c):
-                i = sum(map(mul, linear_combination(f, c, s.basis), weights))
-                hits[i] = min(hits[i] + 1, 2)
+        for i in reference_indices(s):
+            hits[i] = min(hits[i] + 1, 2)
 
     def vectors(count):
         return tuple(tuple(i // w % q for w in weights)
@@ -237,6 +304,13 @@ FAMILY_SPACES = [(2, 1, [2, 3, 4, 5, 6]), (3, 1, [2, 3, 4]), (2, 2, [2, 3]),
                  (3, 2, [2, 3]), (257, 1, [2])]
 
 
+@cache
+def built_family(build, f, n, k):
+    """``build(f, n, k)``, built once for the module: the edits below make
+    new member tuples and leave the family as built."""
+    return build(f, n, k)
+
+
 @st.composite
 def edited_families(draw):
     """A cover or partition with one member dropped, duplicated or replaced
@@ -245,14 +319,14 @@ def edited_families(draw):
     f, n = field_new(p, m), draw(st.sampled_from(dims))
     kind = draw(st.sampled_from(["cover", "spread", "mixed"]))
     if kind == "cover":
-        family = cover_finite(f, n, draw(st.integers(1, n - 1)))
+        family = built_family(cover_finite, f, n, draw(st.integers(1, n - 1)))
         members = family.subspaces
     else:
         d = draw(st.sampled_from([d for d in range(1, n) if n % d == 0]
                                  if kind == "spread" else
                                  list(range(1, n // 2 + 1))))
         build = spread_partition if kind == "spread" else mixed_partition
-        family = build(f, n, d)
+        family = built_family(build, f, n, d)
         members = family.parts
     edit = draw(st.sampled_from(["none", "drop", "duplicate", "replace"]))
     i = draw(st.integers(0, len(members) - 1))
