@@ -23,8 +23,6 @@ from .linalg import (
     Subspace,
     full_subspace,
     lift,
-    quotient,
-    subspace_from_generators,
     subspaces_from_json,
     subspaces_to_json,
 )
@@ -273,12 +271,16 @@ def cover_finite(f: FieldDescriptor, n: int, k: int) -> Cover:
             # distinguished part of the one before
             mp = mixed_partition(f, dim, d)
             subs.extend(_pad(graph, n) for graph in mp.parts[1:])
-        else:  # the tail: quotient by the last kernel_dim unit vectors
-            units = full_subspace(f, dim).basis[dim - step.kernel_dim:]
-            quot = quotient(subspace_from_generators(f, dim, units))
-            tail_spread = spread_partition(f, step.quotient_dim,
-                                           d - step.kernel_dim)
-            subs.extend(_pad(lift(quot, part), n) for part in tail_spread.parts)
+        else:  # the tail: the lift of a spread of the quotient by the
+            # last kernel_dim unit vectors, which is each spread part on the
+            # first quotient_dim coordinates plus those units, already RREF
+            top = step.quotient_dim
+            units = full_subspace(f, n).basis[top:dim]
+            pivots = tuple(range(top, dim))
+            for part in spread_partition(f, top, d - step.kernel_dim).parts:
+                part = _pad(part, n)
+                subs.append(Subspace(f, n, part.basis + units,
+                                     part.pivots + pivots))
 
     if len(subs) != plan.predicted_count:
         raise AssertionError("materialized count differs from the plan")

@@ -28,12 +28,11 @@ document.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, compress, repeat
 from operator import indexOf, itemgetter, not_, truth
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .gf import (FieldDescriptor, field_from_json, field_to_json, json_fields,
                  json_int)
@@ -115,12 +114,11 @@ def _eliminate(f: FieldDescriptor, rows: Sequence[Row]
     return tuple(map(tuple, rows)), tuple(pivots)
 
 
-@dataclass(frozen=True, slots=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of F^n in canonical reduced row-echelon form.
 
     ``basis`` holds dim-many independent rows, pivots strictly increasing;
-    two Subspace values are equal as sets iff they are equal as dataclasses.
+    two Subspace values are equal as sets iff they are equal as tuples.
     Build through :func:`subspace_from_generators` or :func:`subspace_from_rref`.
     """
 
@@ -139,20 +137,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field!r}^{self.n})"
-
-    @staticmethod
-    def bulk(f: FieldDescriptor, n: int, bases: Iterable[tuple[Row, ...]],
-             pivots: Iterable[tuple[int, ...]]) -> tuple[Subspace, ...]:
-        """A subspace of F^n per basis in RREF, with the next pivot tuple,
-        set through the slot descriptors in a few ``map`` passes: the
-        frozen dataclass ``__init__`` costs more than twice as much."""
-        bases = tuple(bases)
-        out = tuple(map(object.__new__, repeat(Subspace, len(bases))))
-        for slot, values in ((Subspace.field, repeat(f)),
-                             (Subspace.n, repeat(n)), (Subspace.basis, bases),
-                             (Subspace.pivots, pivots)):
-            deque(map(slot.__set__, out, values), 0)
-        return out
 
 
 def subspace_from_generators(f: FieldDescriptor, n: int,
@@ -188,8 +172,8 @@ def _lines(f: FieldDescriptor, n: int, rows: Sequence[Sequence[int]],
     """The span of each nonzero row of length n, whose entries the caller
     has checked, given its lead: the row scaled by the lead's inverse, with
     one ``muls`` translate where q <= 256, and pivot at the lead.  The whole
-    family is built in a few ``map`` passes by ``Subspace.bulk``, and its
-    lines share the n distinct pivot tuples."""
+    family is built in a few ``map`` passes, and its lines share the n
+    distinct pivot tuples."""
     # read off the unscaled rows
     pivots = map([(c,) for c in range(n)].__getitem__,
                  map(indexOf, rows, leads))
@@ -202,7 +186,8 @@ def _lines(f: FieldDescriptor, n: int, rows: Sequence[Sequence[int]],
         else:
             rows = map(map, repeat(f.mul), map(repeat, map(f.inv, leads)),
                        rows)
-    return Subspace.bulk(f, n, zip(map(tuple, rows)), pivots)
+    return tuple(map(Subspace, repeat(f), repeat(n), zip(map(tuple, rows)),
+                     pivots))
 
 
 def _span(f: FieldDescriptor, n: int, rows: Sequence[Row]) -> Subspace:

@@ -14,8 +14,8 @@ position is linear in its coordinates, so a candidate's point indices are
 a sum of per-column tables held as packed lanes of one int, and each table
 holds only the values of the projective points (see ``_point_masks``).
 
-Shared with the construction code: the ``Subspace`` type, with
-``Subspace.bulk`` for whole families, and the field descriptor.  Every
+Shared with the construction code: the ``Subspace`` type, a named tuple
+built through its constructor, and the field descriptor.  Every
 vector enumerated here comes out of ``linalg.span_tuples``: while q <= 256
 it translates a row's ``bytes`` by the field's ``muls`` tables (see
 ``byte_tables``) and, where a byte holds the sum of two entries, adds
@@ -72,8 +72,8 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int
     then the free entries in product order, row by row (the first row
     slowest).  In RREF a row's free entries are its own, so each row's
     q^(free cells) possible rows are built once per pivot tuple and the
-    candidates are their product.  All of them are built in one call of
-    ``Subspace.bulk``."""
+    candidates are their product.  All of them are built in one ``map``
+    over the ``Subspace`` constructor."""
     count = gaussian_binomial(n, d, f.q)
     if count > MAX_SUBSPACES:
         raise ValueError(
@@ -94,7 +94,7 @@ def enumerate_subspaces(f: FieldDescriptor, n: int, d: int
             rows.append(choices)
         bases += product(*rows)
         pivot_tuples += repeat(pivots, len(bases) - len(pivot_tuples))
-    out = Subspace.bulk(f, n, bases, pivot_tuples)
+    out = tuple(map(Subspace, repeat(f), repeat(n), bases, pivot_tuples))
     if len(out) != count:
         raise AssertionError("subspace enumeration count mismatch")
     return out

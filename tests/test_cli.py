@@ -1050,10 +1050,10 @@ LINE_DOCUMENTS = [
 ]
 
 
-def read_outcomes():
-    """What the reader makes of each line document with each value path in
-    turn replaced by each of a fixed list of values: the cover or partition
-    it reads, or the message of the ValueError it raises."""
+def edited_documents():
+    """Each line document with each value path in turn replaced by each of
+    a fixed list of values, as (reader, document).  The document is edited
+    in place, so each is read before the next is drawn."""
     for read, doc in LINE_DOCUMENTS:
         q = doc["ambient"]["field"]["p"] ** doc["ambient"]["field"]["m"]
         for *parents, last in value_paths(doc):
@@ -1064,11 +1064,17 @@ def read_outcomes():
             # 0 and q - 1 make zero rows and leads other than 1
             for value in (True, 1.0, -1, q, None, "", [1], {}, 0, q - 1):
                 target[last] = value
-                try:
-                    yield read(doc)
-                except ValueError as exc:
-                    yield str(exc)
+                yield read, doc
             target[last] = kept
+
+
+def read_outcome(read, doc):
+    """The cover or partition ``read`` makes of ``doc``, or the message of
+    the ValueError it raises."""
+    try:
+        return read(doc)
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_line_families_read_alike_with_and_without_the_bulk_path(
@@ -1077,9 +1083,32 @@ def test_line_families_read_alike_with_and_without_the_bulk_path(
         family = doc.get("parts") or doc["subspaces"]
         f = gf.field_from_json(doc["ambient"]["field"])
         assert linalg._family_from_json(family, f)
-    bulk = list(read_outcomes())
+    # each read notes whether the bulk reader decided it, by returning a
+    # family or raising; a read it never reached, or where it returned
+    # None, takes the per-part reader either way, so only the decided ones
+    # are read again without it
+    family_from_json = linalg._family_from_json
+    decided = False
+
+    def noted(*args):
+        nonlocal decided
+        try:
+            family = family_from_json(*args)
+        except ValueError:
+            decided = True
+            raise
+        decided = decided or family is not None
+        return family
+
+    monkeypatch.setattr(linalg, "_family_from_json", noted)
+    bulk = []
+    for read, doc in edited_documents():
+        decided = False
+        bulk.append((read_outcome(read, doc), decided))
     monkeypatch.setattr(linalg, "_family_from_json", lambda *args: None)
-    assert list(read_outcomes()) == bulk
+    assert [read_outcome(read, doc)
+            for (read, doc), (_, by_bulk) in zip(edited_documents(), bulk)
+            if by_bulk] == [outcome for outcome, by_bulk in bulk if by_bulk]
 
 
 def test_valid_documents_are_read_without_parsing_part_fields(

@@ -31,8 +31,16 @@ from subcover.covers import (
     projective_assign,
 )
 from subcover.gf import field_new
-from subcover.linalg import quotient, subspace_from_generators, zero_subspace
+from subcover.linalg import (
+    Subspace,
+    full_subspace,
+    lift,
+    quotient,
+    subspace_from_generators,
+    zero_subspace,
+)
 from subcover.oracle import verify_cover
+from subcover.partitions import spread_partition
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -164,6 +172,14 @@ class TestCoverPlan:
             cover_plan(1, 4, 2)
 
 
+# every (q, n, k) with q^n <= 2^12 whose cover plan ends in a tail step
+TAIL_INSTANCES = [
+    (p, m, n, k) for p, m in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
+                              (3, 2), (11, 1), (13, 1), (2, 4))
+    for n in range(2, 13) if (p**m) ** n <= 2**12
+    for k in range(1, n) if cover_plan(p**m, n, k).steps[-1].kind == "tail"]
+
+
 class TestCoverFinite:
     def test_three_lines(self):
         c = cover_finite(F2, 2, 1)
@@ -206,6 +222,24 @@ class TestCoverFinite:
         assert c.count == minimal_cover_count(2, 15, 4) == 17
         assert [s.kind for s in c.provenance.steps] == ["tail"]
         assert verify_cover(c).ok
+
+    @pytest.mark.parametrize("p,m,n,k", TAIL_INSTANCES)
+    def test_tail_parts_are_the_lift_of_a_quotient_spread(self, p, m, n, k):
+        # the tail quotients F^dim by the span of its last kernel_dim unit
+        # vectors, spreads the quotient, lifts each part and pads it to F^n
+        f = field_new(p, m)
+        c = cover_finite(f, n, k)
+        tail = c.provenance.steps[-1]
+        dim = tail.ambient_dim
+        units = full_subspace(f, dim).basis[dim - tail.kernel_dim:]
+        quot = quotient(subspace_from_generators(f, dim, units))
+        spread = spread_partition(f, tail.quotient_dim,
+                                  tail.block_dim - tail.kernel_dim)
+        lifted = [lift(quot, part) for part in spread.parts]
+        pad = (0,) * (n - dim)
+        assert c.subspaces[-tail.count:] == tuple(
+            Subspace(f, n, tuple(row + pad for row in s.basis), s.pivots)
+            for s in lifted)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,14 @@
 
 import random
 import tracemalloc
-from itertools import islice, product
+from itertools import chain, islice, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subcover import linalg, partitions
+from subcover.covers import cover_finite
 from subcover.gf import field_new
 from subcover.linalg import (
     annihilator,
@@ -28,6 +29,7 @@ from subcover.linalg import (
     subspaces_to_json,
     zero_subspace,
 )
+from subcover.oracle import enumerate_subspaces
 
 F2 = field_new(2, 1)
 F3 = field_new(3, 1)
@@ -704,7 +706,7 @@ def test_one_row_parts_are_spanned_without_elimination(monkeypatch, f, n):
                                  (field_new(257, 1), 2)])
 def test_lines_share_their_pivot_tuples(f, n):
     # a family of lines holds the n distinct pivot tuples once each, and
-    # its lines equal those the dataclass builds one at a time
+    # its lines equal those the constructor builds one at a time
     lines = partitions.spread_partition(f, n, 1).parts
     assert len({id(s.pivots) for s in lines}) == n
     assert lines == tuple(linalg.Subspace(f, n, s.basis, s.pivots)
@@ -712,14 +714,53 @@ def test_lines_share_their_pivot_tuples(f, n):
     assert len(set(lines)) == len(lines) == (f.q**n - 1) // (f.q - 1)
 
 
-def test_bulk_subspaces_equal_the_dataclass_ones():
-    bases = [((1, 0, 2),), ((0, 1, 0), (0, 0, 1)), ()]
-    pivots = [(0,), (1, 2), ()]
-    built = linalg.Subspace.bulk(F3, 3, iter(bases), iter(pivots))
-    assert built == tuple(map(linalg.Subspace, [F3] * 3, [3] * 3, bases,
-                              pivots))
-    assert [hash(s) for s in built] == [
-        hash(linalg.Subspace(F3, 3, b, p)) for b, p in zip(bases, pivots)]
+F1021 = field_new(1021, 1)
+
+# each way the package builds a subspace, with a few of its results
+CONSTRUCTION_PATHS = {
+    "_lines, leads other than 1": lambda: [
+        subspace_from_generators(F3, 3, [(0, 2, 1)]),
+        subspace_from_generators(F4, 3, [(0, 3, 2)]),
+        subspace_from_generators(F1021, 2, [(1020, 5)]),
+        *partitions.spread_partition(F4, 3, 1).parts],
+    "_span": lambda: [
+        subspace_from_generators(F3, 3, [(1, 2, 0), (2, 1, 1)]),
+        subspace_from_generators(F3, 3, [])],
+    "subspace_from_rref": lambda: [
+        linalg.subspace_from_rref(F3, 3, [[1, 0, 2], [0, 1, 1]])],
+    "bulk reader": lambda: [
+        *subspaces_from_json(subspaces_to_json(
+            partitions.spread_partition(F4, 3, 1).parts, F4), F4),
+        *subspaces_from_json(subspaces_to_json(
+            partitions.spread_partition(F2, 4, 2).parts, F2), F2)],
+    "enumerate_subspaces": lambda: enumerate_subspaces(F3, 3, 2),
+    "peeled cover with a tail": lambda: cover_finite(F2, 7, 5).subspaces,
+    "zero_subspace": lambda: [zero_subspace(F4, 3)],
+    "full_subspace": lambda: [full_subspace(F4, 3)],
+}
+
+
+@pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+def test_every_construction_path_builds_the_same_subspace(path):
+    subspaces = CONSTRUCTION_PATHS[path]()
+    assert subspaces
+    for s in subspaces:
+        assert type(s) is linalg.Subspace
+        assert type(s.basis) is type(s.pivots) is tuple
+        assert set(map(type, s.basis)) <= {tuple}
+        assert set(map(type, chain(*s.basis))) <= {int}
+        again = linalg.Subspace(s.field, s.n, s.basis, s.pivots)
+        assert s == again and hash(s) == hash(again)
+        for name in linalg.Subspace._fields:
+            with pytest.raises(AttributeError):
+                setattr(s, name, getattr(s, name))
+        assert repr(s) == f"Subspace(dim {s.dim} of {s.field!r}^{s.n})"
+
+
+def test_subspace_repr():
+    assert repr(zero_subspace(F4, 3)) == "Subspace(dim 0 of GF(2^2)^3)"
+    assert repr(enumerate_subspaces(F3, 3, 2)[0]) == (
+        "Subspace(dim 2 of GF(3)^3)")
 
 
 class TestMatrixInverse:

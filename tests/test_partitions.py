@@ -1,6 +1,5 @@
 """Spread and mixed partitions, plus the extension-field model behind them."""
 
-import dataclasses
 import itertools
 from collections import Counter
 
@@ -160,9 +159,9 @@ class TestSpread:
         want = swept_lines(f, n)
         assert parts == want
         assert [s.pivots for s in parts] == [s.pivots for s in want]
-        # built in bulk, the parts still hash and freeze as dataclasses
+        # built in one pass, the parts still hash and cannot be assigned to
         assert set(parts) == set(want)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             parts[-1].n = n
 
     def test_rejects_non_divisor(self):
