@@ -14,7 +14,8 @@ Addition is XOR of encodings in characteristic 2 and uses Zech logarithms
 for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n), a table built
 on the first ``add`` of two nonzero elements.
 While q <= 256, ``byte_tables`` writes ``mul`` out as one
-``bytes.translate`` table per element, for whole rows at a time.
+``bytes.translate`` table per element, which scales a whole row at a time:
+a line's basis, a span block's rows, a row of an elimination.
 
 The modulus of GF(p^m) is always the lexicographically smallest monic
 irreducible polynomial of degree m over GF(p) (coefficient-tuple order,
@@ -202,7 +203,8 @@ class FieldDescriptor:
         g_s = 1
         for s in range(r):
             i = s  # the log of g^s h^j for j = 0, 1, ...
-            for e in orbit(g_s):
+            # the coset of g^0 = 1 is the orbit walked above
+            for e in orbit(g_s) if s else powers_of_h:
                 exp[i] = exp[i + n] = e
                 log[e] = i
                 i = (i + log_h) % n

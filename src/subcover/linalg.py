@@ -17,9 +17,10 @@ Each part shape has one path.  Lines, the most numerous parts the
 constructions make, are built in bulk by ``_lines`` wherever they occur:
 ``_spans`` sends every part of one nonzero row there in one pass and
 merges them back in order, and every other part goes through the one
-elimination loop, ``_eliminate``.  A valid document of any part size is
-read by one reader, ``_family_from_json``, after a few checks over the
-whole list: a family of one-row bases led by 1 is built by ``_lines``,
+elimination loop, ``_eliminate``, whose row operations act on whole rows
+wherever ``_vector_sums`` serves the field.  A valid document of any part
+size is read by one reader, ``_family_from_json``, after a few checks over
+the whole list: a family of one-row bases led by 1 is built by ``_lines``,
 with one encoding check over all its rows, and any other family by
 ``subspace_from_rref`` part by part.  A list that fails those checks is
 read part by part by ``subspaces_from_json``, which names its first bad
@@ -84,34 +85,87 @@ def _eliminate(f: FieldDescriptor, rows: Sequence[Row]
                ) -> tuple[tuple[Row, ...], tuple[int, ...]]:
     """``rref`` of a non-empty list of equal-length tuples whose entries
     the caller has checked, with its pivot columns, reduced column by
-    column."""
-    rows = list(map(list, rows))
+    column.
+
+    The rows' form sets how ``column`` reads a column's entries, as
+    encodings, how ``times`` scales a row, how ``minus`` subtracts c times
+    the pivot from a row, and how ``done`` gives the rows back.  Where
+    ``_vector_sums`` serves f, a row operation is one whole-row operation:
+    in characteristic 2 a row is one little-endian int with one byte per
+    entry, and subtraction is XOR; for odd p a row is ``bytes`` in the
+    ``into`` form, and subtraction is one ``add`` of the negated multiple.
+    A multiple is one ``muls`` translate, skipped for the factor 1.  Other
+    fields make one ``sub`` and one ``mul`` call per nonzero pivot entry."""
     nrows, ncols = len(rows), len(rows[0])
-    sub, mul, inv = f.sub, f.mul, f.inv
+    inv, neg = f.inv, f.neg
+    sums = _vector_sums(f.p, f.m)
+    if sums:
+        add, into, out = sums
+        muls = f.byte_tables
+    if sums and f.p == 2:
+        rows = list(map(int.from_bytes, map(bytes, rows), repeat("little")))
+
+        def column(col):
+            return [row >> 8 * col & 255 for row in rows]
+
+        def times(row, c):
+            return int.from_bytes(row.to_bytes(ncols, "little").translate(
+                muls[c]), "little")
+
+        def minus(row, c, piv):
+            return row ^ (piv if c == 1 else times(piv, c))
+
+        def done(rows):
+            return map(int.to_bytes, rows, repeat(ncols), repeat("little"))
+    elif sums:
+        # translate(None) leaves the bytes as they are
+        rows = [bytes(row).translate(into) for row in rows]
+
+        def column(col):
+            return bytes(map(itemgetter(col), rows)).translate(out)
+
+        def times(row, c):
+            # out of the into form, times c, and back
+            return row.translate(out.translate(muls[c]).translate(into)
+                                 if into else muls[c])
+
+        def minus(row, c, piv):
+            c = neg(c)
+            return add(row, piv if c == 1 else times(piv, c))
+
+        def done(rows):
+            return map(bytes.translate, rows, repeat(out))
+    else:
+        sub, mul = f.sub, f.mul
+        rows, done = list(rows), iter
+
+        def column(col):
+            return list(map(itemgetter(col), rows))
+
+        def times(row, c):
+            return [x and mul(c, x) for x in row]
+
+        def minus(row, c, piv):
+            return [sub(x, mul(c, y)) if y else x for x, y in zip(row, piv)]
     pivots = []
     for col in range(ncols):
         pivot_row = len(pivots)
+        entries = column(col)
         for src in range(pivot_row, nrows):
-            if rows[src][col]:
+            if entries[src]:
                 break
         else:
             continue
-        rows[pivot_row], rows[src] = rows[src], rows[pivot_row]
-        piv = rows[pivot_row]
-        c = piv[col]
-        if c != 1:
-            piv[col:] = map(mul, repeat(inv(c)), piv[col:])
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                row = rows[r]
-                for j in range(col, ncols):
-                    if piv[j]:
-                        row[j] = sub(row[j], mul(factor, piv[j]))
+        c = entries[src]
+        piv = rows[src] if c == 1 else times(rows[src], inv(c))
+        for r, c in enumerate(entries):
+            if c and r != src:
+                rows[r] = minus(rows[r], c, piv)
+        rows[src], rows[pivot_row] = rows[pivot_row], piv
         pivots.append(col)
         if len(pivots) == nrows:
             break
-    return tuple(map(tuple, rows)), tuple(pivots)
+    return tuple(map(tuple, done(rows))), tuple(pivots)
 
 
 class Subspace(NamedTuple):
@@ -358,9 +412,10 @@ SPAN_BLOCK = 4096
 @cache
 def _vector_sums(p: int, m: int
                  ) -> tuple[Callable, bytes | None, bytes | None] | None:
-    """``(add, into, out)`` for ``span_tuples``' whole-vector blocks over
-    GF(p^m), or None where a byte cannot hold an entry of the sum of two
-    vectors: p^m > 256, or odd p with (2p - 1)^m > 256.
+    """``(add, into, out)`` for ``span_tuples``' whole-vector blocks and
+    ``_eliminate``'s whole-row operations over GF(p^m), or None where a
+    byte cannot hold an entry of the sum of two vectors: p^m > 256, or odd
+    p with (2p - 1)^m > 256.
 
     A block is ``bytes`` of row-major entries.  ``add(block, v)`` adds the
     vector v, repeated to the block's length, in one big-int operation:

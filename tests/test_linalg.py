@@ -660,6 +660,76 @@ def test_pivots_are_the_leading_columns(f, n, data):
                              for row in s.basis)
 
 
+@st.composite
+def _dependent_matrices(draw, f):
+    """Matrices of width 1-12 with 1 to width + 2 rows over f: each row is
+    random (so its lead is often not 1), zero, a copy of an earlier row,
+    or an earlier row times a nonzero element plus another earlier row."""
+    n = draw(st.integers(1, 12))
+    entry = st.integers(0, f.q - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, n + 2))):
+        kind = draw(st.sampled_from(
+            ["random", "zero", "copy", "combination"] if rows else
+            ["random", "zero"]))
+        if kind == "random":
+            row = draw(st.lists(entry, min_size=n, max_size=n))
+        elif kind == "zero":
+            row = [0] * n
+        elif kind == "copy":
+            row = draw(st.sampled_from(rows))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(st.integers(1, f.q - 1))
+            row = [f.add(f.mul(c, x), y) for x, y in zip(a, b)]
+        rows.append(tuple(row))
+    return n, rows
+
+
+# one field or more for each row form of ``_eliminate``: XOR (with scaling
+# above GF(2)), a byte sum mod p, the into/out form, and one call per entry
+ROW_FORMS = [(2, 1), (2, 2), (2, 3), (2, 8), (3, 1), (5, 1), (127, 1),
+             (3, 2), (3, 3), (3, 4), (131, 1), (257, 1), (1021, 1)]
+
+
+@pytest.mark.parametrize("p,m", ROW_FORMS,
+                         ids=[f"GF({p}^{m})" for p, m in ROW_FORMS])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_row_form_reduces_as_the_reference(p, m, data):
+    f = field_new(p, m)
+    n, rows = data.draw(_dependent_matrices(f))
+    assert rref(f, rows) == _ref_rref(f, rows)
+    s = subspace_from_generators(f, n, rows)
+    assert (s.basis, s.pivots) == _ref_from_generators(f, n, rows)
+
+
+@pytest.mark.parametrize("f", [F2, F3, F4, field_new(3, 2),
+                               field_new(2, 8)], ids=repr)
+def test_whole_row_eliminations_make_no_per_entry_calls(monkeypatch, f):
+    # where the field has a byte sum, a row operation is a whole-row XOR or
+    # add: with add, sub and mul raising, the results are unchanged (inv
+    # and neg are called once per row operation)
+    rng = random.Random(f.q)
+    cases = []
+    for n in range(1, 9):
+        for _ in range(6):
+            rows = [tuple(rng.randrange(f.q) for _ in range(n))
+                    for _ in range(rng.randint(2, n + 2))]
+            rows.append(rows[0])
+            cases.append((n, rows))
+    expected = [(rref(f, rows), subspace_from_generators(f, n, rows))
+                for n, rows in cases]
+
+    def per_entry(*args):
+        raise AssertionError("per-entry field arithmetic")
+
+    for name in ("add", "sub", "mul"):
+        monkeypatch.setattr(type(f), name, per_entry)
+    assert [(rref(f, rows), subspace_from_generators(f, n, rows))
+            for n, rows in cases] == expected
+
+
 @pytest.mark.parametrize("f,row", [
     (F3, (0, 2, 1, 2)),
     (F4, (0, 2, 3, 1)),  # lead x
