@@ -7,9 +7,13 @@ canonical integer encoding enc(a) = sum(coeffs[i] * p**i), a bijection onto
 arithmetic methods (`add`, `mul`, ...) work directly on these integer
 encodings, which are the only form of an element the package uses.
 
-Every (p, m) takes one table-driven path.  On its first arithmetic call a
-descriptor builds log/antilog tables to the base of its least primitive
-element g (smallest encoding), so mul, div, inv, pow and neg are lookups.
+Every (p, m) takes one table-driven path, to the base of the least
+primitive element g (smallest encoding).  The antilog table ``exp`` is
+built first, when an operation first reads it, by doubling a block of
+powers of g with whole-block big-int operations; the log table is one
+scatter of ``exp``, built on the first operation that reads it, so mul,
+div, inv, pow and neg are lookups, while ``subfield`` and the spread
+cosets read ``exp`` alone.
 Addition is XOR of encodings in characteristic 2 and uses Zech logarithms
 for odd p: g^a + g^b = g^(a + Z(b - a)), 1 + g^n = g^Z(n), a table built
 on the first ``add`` of two nonzero elements.
@@ -26,11 +30,11 @@ interchangeable.  For m = 1 the modulus is the polynomial x.
 from __future__ import annotations
 
 import itertools
-import operator
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import isqrt
+from sys import byteorder
 
 from .bounds import check_enumeration_size
 
@@ -135,13 +139,21 @@ class FieldDescriptor:
     # -- log/antilog tables -------------------------------------------------
 
     @cached_property
-    def _tables(self) -> tuple[array, array, int]:
-        """``(exp, log, log(-1))``, built on the first arithmetic call.
+    def exp(self) -> array:
+        """``exp[i] = enc(g^i)`` over two periods, with g the least primitive
+        element; entries take 2 bytes while q <= 2^16, 4 above.
 
-        With g the least primitive element: ``exp[i] = enc(g^i)`` over two
-        periods and ``log[enc(g^i)] = i`` (and ``log[0] = 0``).  Entries take
-        2 bytes while q <= 2^16, 4 above.  -1 has encoding p - 1, so log(-1)
-        is (q-1)/2 for odd p and 0 for p = 2.
+        The block g^0, ..., g^(k-1) times c = g^k is g^k, ..., g^(2k-1),
+        and e -> c e is GF(p)-linear on base-p digits, its coefficients the
+        digits of c x^j (j < m), which follow the block as its tail and so
+        become (c^2) x^j.  A doubling is a few big-int operations on lanes
+        in the machine's byte order.  In characteristic 2 the block is one
+        int of encodings, and c e is the XOR over the bit planes j of bit j
+        times enc(c x^j).  For odd p it is m streams, one per digit place,
+        and digit t of c e is the sum over j of digit t of c x^j times
+        digit j of e, taken mod p before a product might overflow a lane
+        and at the end: by one ``translate`` on byte lanes (p <= 13),
+        element by element on wider ones.
         """
         p, q, m, modulus = self.p, self.q, self.m, self.modulus
         n = q - 1
@@ -150,71 +162,85 @@ class FieldDescriptor:
                   for d in (r, n // r) if is_prime(d)}
         for g in range(1, q):
             # g's digits without trailing zeros, so each product is short
-            step = _poly_rem(self.digits(g), modulus, p)
-            if all(_poly_pow(step, n // r, modulus, p) != (1,) for r in primes):
+            c = _poly_rem(self.digits(g), modulus, p)
+            if all(_poly_pow(c, n // r, modulus, p) != (1,) for r in primes):
                 break
-        # The tables are filled coset by coset, g^s <h> for h = x (h = g when
-        # m = 1), since an encoding times h is one integer product whose
-        # overflow digit c folds back as c x^m = -c (modulus - x^m).  In
-        # characteristic 2 that is a shift and an XOR with the modulus.
-        # orbit(e) walks e, h e, h^2 e, ... until it returns to e
-        h = p if m > 1 else g
-        if p == 2:
-            over = sum(c << j for j, c in enumerate(modulus))
-
-            def orbit(e):
-                start = e
-                while True:
-                    yield e
-                    e *= h
-                    if e >= q:
-                        e ^= over
-                    if e == start:
-                        return
-        else:
-            folds = [(p**j, -c % p) for j, c in enumerate(modulus[:m]) if c]
-
-            def orbit(e):
-                start = e
-                while True:
-                    yield e
-                    c, e = divmod(e * h, q)
-                    if c:
-                        for w, t in folds:
-                            d = e // w % p
-                            e += ((d + c * t) % p - d) * w
-                    if e == start:
-                        return
-
+        rows = [c]  # the digits of g x^j for j < m
+        for _ in range(1, m):
+            rows.append(_poly_rem((0, *rows[-1]), modulus, p))
+        rows = [row + (0,) * (m - len(row)) for row in rows]
         code = "H" if q <= 1 << 16 else "I"
-        weights = [p**j for j in range(m)]
-        powers_of_h = array(code, orbit(1))
-        k = len(powers_of_h)
-        r = n // k
-        # g^r = h^j generates <h>, so h = g^(r / j mod k)
-        g_r = sum(map(operator.mul, _poly_pow(step, r, modulus, p), weights))
-        log_h = r * pow(powers_of_h.index(g_r), -1, k)
-        exp, log = array(code, [0]) * (2 * n), array(code, [0]) * q
-        # The next coset start g^(s+1) = g g^s is read off the coset just
-        # filled: with a_j the digits of g it is the sum of a_j x^j g^s, digit
-        # by digit mod p, and x^j g^s = exp[s + j log_h].  (For m = 1 there
-        # is one coset.)
-        terms = [(j * log_h, a) for j, a in enumerate(self.digits(g)) if a]
-        g_s = 1
-        for s in range(r):
-            i = s  # the log of g^s h^j for j = 0, 1, ...
-            # the coset of g^0 = 1 is the orbit walked above
-            for e in orbit(g_s) if s else powers_of_h:
-                exp[i] = exp[i + n] = e
-                log[e] = i
-                i = (i + log_h) % n
-            g_s = 0
-            for w in weights:
-                d = 0
-                for j, a in terms:
-                    d += a * (exp[(s + j) % n] // w % p)
-                g_s += d % p * w
-        return exp, log, log[p - 1]
+        size = array(code).itemsize
+        if p == 2:
+            lane, one = size, (1).to_bytes(size, byteorder)
+            streams, tails = [one], [array(code, [sum(
+                d << t for t, d in enumerate(row)) for row in rows]).tobytes()]
+
+            def times(ins):
+                block = int.from_bytes(ins[0], byteorder)
+                ones = int.from_bytes(one * (len(ins[0]) // size), byteorder)
+                out = 0
+                for j, row in enumerate(array(code, ins[0][-m * size:])):
+                    out ^= (block >> j & ones) * row
+                return [out.to_bytes(len(ins[0]), byteorder)]
+        else:
+            # a lane holds one product past a digit below p
+            lane = next(w for w in (1, 2, 4, 8) if p * (p - 1) < 256**w)
+            digit = "BHIQ"[lane.bit_length() - 1]
+            streams = [(t == 0).to_bytes(lane, byteorder) for t in range(m)]
+            tails = [array(digit, col).tobytes() for col in zip(*rows)]
+            # x -> x % p, for byte lanes
+            mod = lane == 1 and (bytes(range(p)) * (256 // p + 1))[:256]
+
+            def reduce(acc, nbytes):
+                if lane == 1:
+                    return acc.to_bytes(nbytes, byteorder).translate(mod)
+                return array(digit, [x % p for x in array(
+                    digit, acc.to_bytes(nbytes, byteorder))]).tobytes()
+
+            def times(ins):
+                digits = [int.from_bytes(s, byteorder) for s in ins]
+                out = []
+                for s in ins:
+                    acc = peak = 0  # peak bounds every lane of acc
+                    # digit t of c x^j, j < m, from the tail of stream t
+                    for a, e in zip(array(digit, s[-m * lane:]), digits):
+                        if a:
+                            if peak + a * (p - 1) >= 256**lane:
+                                acc, peak = int.from_bytes(
+                                    reduce(acc, len(s)), byteorder), p - 1
+                            acc, peak = acc + a * e, peak + a * (p - 1)
+                    out.append(reduce(acc, len(s)))
+                return out
+        # the block is g^0, ..., g^(k-1); the last pass takes only the
+        # part of it that completes the n powers
+        k = 1
+        while k < n:
+            cut = min(k, n - k) * lane
+            out = times([s[:cut] + t for s, t in zip(streams, tails)])
+            streams = [s + o[:cut] for s, o in zip(streams, out)]
+            tails = [o[cut:] for o in out]
+            k += cut // lane
+        # widen each stream's lanes to the table's, weighted by p^t
+        little, total = byteorder == "little", 0
+        for t, s in enumerate(streams):
+            wide = bytearray(n * size)
+            for b in range(min(lane, size)):  # each digit < p < 256^size
+                wide[b if little else size - 1 - b::size] = s[
+                    b if little else lane - 1 - b::lane]
+            total += int.from_bytes(wide, byteorder) * p**t
+        return array(code, total.to_bytes(n * size, byteorder)) * 2
+
+    @cached_property
+    def _tables(self) -> tuple[array, array, int]:
+        """``(exp, log, log(-1))``: ``log[enc(g^i)] = i`` and ``log[0] = 0``,
+        one scatter of ``exp`` on the first operation that reads it.  -1 is
+        p - 1, so log(-1) is (q-1)/2 for odd p and 0 for p = 2."""
+        exp, q = self.exp, self.q
+        log = array(exp.typecode, [0]) * q
+        for i, e in enumerate(exp[:q - 1]):
+            log[e] = i
+        return exp, log, log[self.p - 1]
 
     @cached_property
     def _zech(self) -> array:
@@ -297,7 +323,7 @@ class FieldDescriptor:
         subfield's units are the subgroup of GF(q)* that b generates."""
         if k < 1 or self.m % k:
             raise ValueError(f"GF({self.p}^{k}) is not a subfield of {self!r}")
-        exp = self._tables[0]
+        exp = self.exp
         return [0, *exp[:self.q - 1:(self.q - 1) // (self.p**k - 1)]]
 
 
@@ -320,8 +346,10 @@ def field_new(p: int, m: int) -> FieldDescriptor:
 
 
 # Descriptors kept by ``_build_field``, each with its log/antilog tables
-# (12-16 MiB near q = 2^20) once used.  The largest perfbench pass builds
-# 13 distinct fields, so none is built twice within one.
+# (12-16 MiB near q = 2^20) once used; a field used only for spreads and
+# subfields holds ``exp`` alone (8 MiB near q = 2^20).  The largest
+# perfbench pass builds 13 distinct fields, so none is built twice within
+# one.
 FIELD_CACHE_SIZE = 16
 
 

@@ -172,17 +172,21 @@ def spread_partition(f: FieldDescriptor, n: int, d: int) -> Partition:
     # With g the top field's generator, GF(q^d)* is the powers of
     # b = g^step, step = (q^n - 1)/(q^d - 1), so the parts' unit sets, the
     # cosets alpha GF(q^d)*, are the powers g^(i + j step) for each i below
-    # step.  Led by its least element alpha, a coset has the basis alpha,
-    # alpha b, ..., alpha b^(d-1); the parts go in increasing alpha.
-    units = top.subfield(f.m * d)[1:]
-    powers = top.subfield(top.m)[1:]
-    step = len(powers) // len(units)
-    alphas = sorted(min(powers[i::step]) for i in range(step))
-    if len(alphas) != shape[d]:
+    # step.  Led by its least element alpha = g^s, a coset has the basis
+    # alpha, alpha b, ..., alpha b^(d-1), that is g^(s + j step) for j < d;
+    # the parts go in increasing alpha.
+    exp, units = top.exp, top.q - 1
+    step = units // (f.q**d - 1)
+    leaders = []
+    for i in range(step):
+        coset = exp[i:units:step]
+        alpha = min(coset)
+        leaders.append((alpha, i + step * coset.index(alpha)))
+    if len(leaders) != shape[d]:
         raise AssertionError("spread sweep produced a wrong part count")
-    basis = units[:d]
-    parts = _spans(f, n, [[ext.to_coords(top.mul(alpha, b)) for b in basis]
-                          for alpha in alphas])
+    leaders.sort()
+    parts = _spans(f, n, [[ext.to_coords(exp[s + j * step]) for j in range(d)]
+                          for _, s in leaders])
     if any(part.dim != d for part in parts):
         raise AssertionError("coset has wrong dimension")
     return Partition(f, n, d, "spread", parts, literature_range=literature)

@@ -343,13 +343,18 @@ class TestTables:
                 assert f.pow(a, -e) == self.ref_pow(f, inv, e)
                 assert f.div(b, a) == self.ref_mul(f, b, inv)
 
-    @pytest.mark.parametrize("p,m", [(257, 2), (2, 16), (3, 10), (5, 6)])
+    # every block-multiply form: bit planes in 2- and 4-byte lanes, byte
+    # digit streams (GF(11^4)'s sums overflow a byte unless reduced), and
+    # wider digit lanes reduced element by element (m = 2 and m = 1)
+    @pytest.mark.parametrize("p,m", [(257, 2), (2, 16), (3, 10), (5, 6),
+                                     (2, 17), (7, 6), (11, 4), (131, 2),
+                                     (65521, 1)])
     def test_tables_match_a_naive_build(self, p, m):
         f = field_new(p, m)
         q, n = f.q, f.q - 1
         primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
         # a constant of GF(p^m), m > 1, has order dividing p - 1 < q - 1
-        g = next(a for a in range(p, q)
+        g = next(a for a in range(2 if m == 1 else p, q)
                  if all(self.ref_pow(f, a, n // r) != 1 for r in primes))
         # e -> e g is GF(p)-linear: digit d of e at place j adds d times the
         # digits of x^j g, tabulated here for the low and the high half of
@@ -406,7 +411,10 @@ class TestTables:
         assert "_tables" not in vars(f)
         f.digits(7)
         field_from_json(field_to_json(f))
-        assert "_tables" not in vars(f)
+        assert "exp" not in vars(f)
+        # a subfield reads exp alone; the first product scatters log
+        assert f.subfield(2)[:2] == [0, 1]
+        assert "exp" in vars(f) and "_tables" not in vars(f)
         assert f.mul(5, 7) == self.ref_mul(f, 5, 7)
         assert "_tables" in vars(f)
 

@@ -44,17 +44,21 @@ def from_coords(ext, coords):
     return w
 
 
-def swept_lines(f, n):
-    """The lines of GF(q)^n by the general spread construction: the cosets
-    alpha GF(q)* of GF(q^n) in increasing least element alpha, each the
-    span of alpha's coordinates.  The reference for ``_prime_lines``."""
+def swept_parts(f, n, d=1):
+    """The parts of GF(q)^n by the coset sweep: the cosets alpha GF(q^d)*
+    of GF(q^n) in increasing least element alpha, each the span of the
+    coordinates of alpha b^j for j < d, b generating GF(q^d)*, every
+    product one ``top.mul``.  The reference for ``spread_partition``
+    and, with d = 1, for ``_prime_lines``."""
     ext = FieldExtension(f, n)
-    units = ext.top.subfield(f.m)[1:]
-    powers = ext.top.subfield(ext.top.m)[1:]
+    top = ext.top
+    units = top.subfield(f.m * d)[1:]
+    powers = top.subfield(top.m)[1:]
     step = len(powers) // len(units)
     alphas = sorted(min(powers[i::step]) for i in range(step))
-    return tuple(subspace_from_generators(f, n, [ext.to_coords(alpha)])
-                 for alpha in alphas)
+    return tuple(subspace_from_generators(
+        f, n, [ext.to_coords(top.mul(alpha, b)) for b in units[:d]])
+        for alpha in alphas)
 
 
 def nonzero_count(partition):
@@ -156,13 +160,27 @@ class TestSpread:
     def test_prime_lines_are_the_coset_sweep(self, p, n):
         f = field_new(p, 1)
         parts = spread_partition(f, n, 1).parts
-        want = swept_lines(f, n)
+        want = swept_parts(f, n)
         assert parts == want
         assert [s.pivots for s in parts] == [s.pivots for s in want]
         # built in one pass, the parts still hash and cannot be assigned to
         assert set(parts) == set(want)
         with pytest.raises(AttributeError):
             parts[-1].n = n
+
+    @pytest.mark.parametrize("f,n,d", [
+        (F2, 8, 4), (F3, 6, 3), (F4, 4, 2), (F9, 2, 1), (F2, 6, 6)])
+    def test_parts_are_the_coset_sweep(self, f, n, d):
+        assert spread_partition(f, n, d).parts == swept_parts(f, n, d)
+
+    @pytest.mark.parametrize("p,n,d", [(2, 16, 8), (3, 10, 5)])
+    def test_a_prime_base_spread_builds_no_log(self, p, n, d):
+        # the cosets and their bases are read off the top field's exp
+        gf._build_field.cache_clear()
+        assert len(spread_partition(field_new(p, 1), n, d).parts) == (
+            (p**n - 1) // (p**d - 1))
+        top = field_new(p, n)
+        assert "exp" in vars(top) and "_tables" not in vars(top)
 
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
